@@ -55,9 +55,13 @@ fn bench_shared_samples(c: &mut Criterion) {
     let g = gaussian2();
     let mut rng = StdRng::seed_from_u64(2);
     let budget = NonZeroUsize::new(100_000).expect("nonzero");
-    let cloud = SampleCloud::draw(&g, budget, &mut rng);
+    let cloud = SampleCloud::draw(g.cholesky(), budget, &mut rng);
     let grid = CloudGrid::build(&cloud);
-    let target = Vector::from([515.0, 508.0]);
+    // Clouds hold offsets from the mean: probe with `target − mean`.
+    let target = Vector::from([515.0, 508.0]) - *g.mean();
+    c.bench_function("integrate/shared_cloud_draw_100k", |b| {
+        b.iter(|| CloudGrid::draw(g.cholesky(), budget, &mut rng).len())
+    });
     c.bench_function("integrate/shared_cloud_linear_probe_100k", |b| {
         b.iter(|| cloud.probability(black_box(&target), 25.0))
     });

@@ -118,9 +118,11 @@ fn main() {
     // of the same cloud counts, for every candidate of the live workload.
     let mut rng = StdRng::seed_from_u64(seed);
     let budget = NonZeroUsize::new(samples).expect("samples > 0");
-    let cloud = SampleCloud::draw(query.gaussian(), budget, &mut rng);
+    let cloud = SampleCloud::draw(query.gaussian().cholesky(), budget, &mut rng);
     let grid = CloudGrid::build(&cloud);
     for c in &cands {
+        // Clouds hold offsets from the mean: probe with `c − mean`.
+        let c = &(*c - *query.gaussian().mean());
         assert_eq!(
             grid.count_within(c, query.delta()),
             cloud.count_within(c, query.delta()),

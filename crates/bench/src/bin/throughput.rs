@@ -4,9 +4,9 @@
 //!
 //! The batch of shared-Σ pseudo-feedback queries (§VI-A: one covariance
 //! estimated from neighborhood feedback, probed at many centers) runs
-//! through [`QueryBatch`]: one fused R*-tree pass, one Box–Muller +
-//! Cholesky-transform offset draw reused by every query via the
-//! Σ-factor cache, one fused Phase-3 block. The baseline executes the
+//! through [`QueryBatch`]: one fused R*-tree pass, one cloud grid —
+//! drawn and indexed once — reused by every query via the Σ-factor
+//! cache, one fused Phase-3 block. The baseline executes the
 //! identical queries one at a time through [`PrqExecutor`] with the
 //! same derived cloud seeds — the documented parity contract — so both
 //! modes produce the same answers and the comparison is pure execution
@@ -14,10 +14,9 @@
 //! per-mode wall time is kept, so scheduler noise cancels instead of
 //! accumulating into one mode.
 //!
-//! The 9-D draw is the expensive step the cache amortizes (nine
-//! normals plus an 81-multiply Cholesky transform per sample — the
-//! costs grow with D and D² while grid indexing stays near-linear), so
-//! the win needs no threads: on the single-core CI runner the binary
+//! The cache skips the whole per-query cloud build — the 9-D draw (nine
+//! normals plus a 45-multiply triangular transform per sample) and the
+//! grid index over it — so the win needs no threads: on the single-core CI runner the binary
 //! exits non-zero if batching stops paying at least the ISSUE-9 floor
 //! (2×) — it is a guard, not just a report.
 //!

@@ -12,10 +12,10 @@
 //! 2. **Fused Phase 2** — each query's candidates run through the same
 //!    `PreparedQuery::filter_candidates` loop the solo executor uses.
 //! 3. **Fused Phase 3** — queries sharing a covariance Σ share one
-//!    mean-free offset table `w_j = L·z_j` from the [`SigmaFactorCache`]
-//!    (the expensive Box–Muller draws happen once per Σ-group), and the
-//!    whole batch's `(query, candidate)` work is flattened across the
-//!    [`ParallelIntegrator`] worker pool.
+//!    finished [`CloudGrid`] over the mean-free offsets `w_j = L·z_j`
+//!    from the [`SigmaFactorCache`] (a cache hit needs no draw and no
+//!    grid build), and the whole batch's `(query, candidate)` work is
+//!    flattened across the [`ParallelIntegrator`] worker pool.
 //!
 //! # The parity contract
 //!
@@ -35,13 +35,14 @@
 //! * the per-query cloud seed ([`cloud_seed`]) mixes the base seed with
 //!   the covariance bits only — so two same-Σ queries map to the same
 //!   seed, hence the same `z`-stream, whether drawn fresh (solo) or once
-//!   (cached offsets);
-//! * [`GaussianSampler::sample`] materializes `L·z` *before* the single
-//!   component-wise mean add, so re-centering a cached offset column is
-//!   the same float operation sequence as a fresh draw
-//!   (`SampleCloud::from_offsets` parity tests);
-//! * grid probes are pure functions of (grid, candidate, δ), and the
-//!   flattened worker partition never splits a sample stream.
+//!   (cached grid);
+//! * the grid lives in offset space: it is a pure function of
+//!   `(L, samples, seed)` — the solo evaluator's `begin_query` runs the
+//!   very same [`CloudGrid::draw`] — and never sees a mean, so a cached
+//!   grid *is* the grid a solo run would build;
+//! * both paths probe with the same offset `candidate − mean`, and grid
+//!   probes are pure functions of (grid, offset, δ); the flattened
+//!   worker partition never splits a sample stream.
 //!
 //! Estimator caveat (same as the PR-5 shared cloud, one level up):
 //! same-Σ queries share one sample cloud, so their Monte-Carlo errors
@@ -58,7 +59,6 @@
 //! [`BatchOutcome::recovered`] set plus a `prq_batch_aborts_total` tick.
 //! Unaffected queries never see the fault.
 //!
-//! [`GaussianSampler::sample`]: gprq_gaussian::sampler::GaussianSampler::sample
 //! [`SearchStats`]: gprq_rtree::SearchStats
 
 use crate::error::PrqError;
@@ -66,7 +66,7 @@ use crate::executor::{PrqExecutor, QueryStats};
 use crate::ext::parallel::{BatchPhase3Item, ParallelIntegrator};
 use crate::metrics::Phase;
 use crate::query::PrqQuery;
-use gprq_gaussian::cloud::{CloudGrid, CloudStats, SampleCloud};
+use gprq_gaussian::cloud::{CloudGrid, CloudStats};
 use gprq_gaussian::Gaussian;
 use gprq_linalg::Vector;
 use gprq_rtree::{Phase1Index, Rect, SearchStats};
@@ -74,12 +74,13 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Ordering;
 use std::num::NonZeroUsize;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Default Σ-group cache capacity (offset tables retained across
-/// batches). 32 tables of 50 000 × D doubles ≈ 25 MB at D = 2 — small
-/// next to the tree, large enough that realistic workloads (a handful
-/// of sensor models) never evict.
+/// Default Σ-group cache capacity (grids retained across batches). 32
+/// grids of 50 000 samples ≈ 28 MB at D = 2 (offset columns plus cell
+/// bounds) — small next to the tree, large enough that realistic
+/// workloads (a handful of sensor models) never evict.
 const DEFAULT_CACHE_CAPACITY: usize = 32;
 
 /// Splitmix64 finalizer — the same mixer the fault planner and the
@@ -94,8 +95,8 @@ fn splitmix(mut z: u64) -> u64 {
 /// The per-query cloud seed: `base_seed` mixed with the bit patterns of
 /// the covariance matrix — and **only** the covariance. The mean must
 /// not enter: two queries sharing Σ must map to the same seed so the
-/// cached offset table reproduces, bitwise, the cloud a solo
-/// `MonteCarloEvaluator` seeded with this value would draw.
+/// cached grid is, bitwise, the grid a solo `MonteCarloEvaluator`
+/// seeded with this value would build.
 ///
 /// Consequence (documented, deliberate): same-Σ queries share one
 /// `z`-stream, so their Monte-Carlo errors are correlated *across
@@ -112,27 +113,27 @@ pub fn cloud_seed<const D: usize>(base_seed: u64, gaussian: &Gaussian<D>) -> u64
 }
 
 /// One cached Σ-group: the key (covariance bits, sample count, seed)
-/// and the mean-free offset table drawn from it.
+/// and the finished offset-space grid built from it.
 #[derive(Debug)]
 struct CacheEntry<const D: usize> {
     sigma_bits: Vec<u64>,
     samples: usize,
     seed: u64,
-    offsets: [Vec<f64>; D],
+    grid: Arc<CloudGrid<D>>,
 }
 
-/// A keyed cache of mean-free sample-offset tables (`w_j = L·z_j`),
-/// shared by every query whose covariance matches bitwise.
+/// A keyed cache of finished offset-space cloud grids
+/// ([`CloudGrid::draw`] over `w_j = L·z_j`), shared by every query whose
+/// covariance matches bitwise.
 ///
 /// Keying on the covariance *bits* (plus sample budget and seed) is
 /// exact: identical Σ bits give an identical Cholesky factor (the
-/// factorization is deterministic), hence an identical offset table.
-/// Eviction is FIFO and fully deterministic; a re-draw after eviction
-/// reproduces the evicted table bitwise (same seed, fresh
-/// [`StandardNormal`] stream), so cache capacity can never change an
-/// answer — only how often the Box–Muller work is repeated.
-///
-/// [`StandardNormal`]: gprq_gaussian::sampler::StandardNormal
+/// factorization is deterministic), hence an identical grid — the grid
+/// never depends on a query mean. A hit hands out the cached grid
+/// itself: no draw and no grid build. Eviction is FIFO and fully
+/// deterministic; a rebuild after eviction reproduces the evicted grid
+/// bitwise (same seed, same stream), so cache capacity can never change
+/// an answer — only how often the draw and build are repeated.
 #[derive(Debug)]
 pub struct SigmaFactorCache<const D: usize> {
     capacity: usize,
@@ -143,9 +144,9 @@ pub struct SigmaFactorCache<const D: usize> {
 }
 
 impl<const D: usize> SigmaFactorCache<D> {
-    /// Creates a cache holding at most `capacity` offset tables
-    /// (floored to 1 — a zero-capacity cache would still need one live
-    /// table to serve the current query).
+    /// Creates a cache holding at most `capacity` grids (floored to 1 —
+    /// a zero-capacity cache would still need one live grid to serve the
+    /// current query).
     pub fn new(capacity: usize) -> Self {
         SigmaFactorCache {
             capacity: capacity.max(1),
@@ -156,42 +157,42 @@ impl<const D: usize> SigmaFactorCache<D> {
         }
     }
 
-    /// Cached tables currently held.
+    /// Cached grids currently held.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// `true` when no table is cached.
+    /// `true` when no grid is cached.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
-    /// Lookups served from a cached table.
+    /// Lookups served from a cached grid.
     pub fn hits(&self) -> u64 {
         self.hits
     }
 
-    /// Lookups that had to draw a fresh table.
+    /// Lookups that had to draw and build a fresh grid.
     pub fn misses(&self) -> u64 {
         self.misses
     }
 
-    /// Tables evicted by the FIFO policy.
+    /// Grids evicted by the FIFO policy.
     pub fn evictions(&self) -> u64 {
         self.evictions
     }
 
-    /// Returns the index of the offset table for `(Σ, samples, seed)`,
-    /// drawing (and possibly evicting, FIFO) on a miss. The `bool` is
-    /// `true` on a hit. The index is only valid until the next
-    /// `get_or_draw` call — use it immediately via
-    /// [`SigmaFactorCache::offsets`].
-    fn get_or_draw(
+    /// The grid for `(Σ, samples, seed)`: the cached one on a hit (the
+    /// same shared grid, with no draw and no build), or — on a miss —
+    /// `CloudGrid::draw(L, samples, StdRng::seed_from_u64(seed))`,
+    /// cached after a FIFO eviction if the cache is full. The returned
+    /// handle outlives any later eviction.
+    pub fn grid(
         &mut self,
         gaussian: &Gaussian<D>,
         samples: NonZeroUsize,
         seed: u64,
-    ) -> (usize, bool) {
+    ) -> Arc<CloudGrid<D>> {
         let cov = gaussian.covariance();
         let mut sigma_bits = Vec::with_capacity(D * D);
         for r in 0..D {
@@ -200,13 +201,13 @@ impl<const D: usize> SigmaFactorCache<D> {
             }
         }
         let n = samples.get();
-        if let Some(idx) = self
+        if let Some(entry) = self
             .entries
             .iter()
-            .position(|e| e.sigma_bits == sigma_bits && e.samples == n && e.seed == seed)
+            .find(|e| e.sigma_bits == sigma_bits && e.samples == n && e.seed == seed)
         {
             self.hits += 1;
-            return (idx, true);
+            return Arc::clone(&entry.grid);
         }
         self.misses += 1;
         if self.entries.len() >= self.capacity {
@@ -214,20 +215,14 @@ impl<const D: usize> SigmaFactorCache<D> {
             self.evictions += 1;
         }
         let mut rng = StdRng::seed_from_u64(seed);
-        let offsets = SampleCloud::draw_offsets(gaussian.cholesky(), samples, &mut rng);
+        let grid = Arc::new(CloudGrid::draw(gaussian.cholesky(), samples, &mut rng));
         self.entries.push(CacheEntry {
             sigma_bits,
             samples: n,
             seed,
-            offsets,
+            grid: Arc::clone(&grid),
         });
-        (self.entries.len() - 1, false)
-    }
-
-    /// The offset table at `idx` (an index just returned by
-    /// `get_or_draw`).
-    fn offsets(&self, idx: usize) -> &[Vec<f64>; D] {
-        &self.entries[idx].offsets
+        grid
     }
 }
 
@@ -285,7 +280,7 @@ pub struct BatchOutcome<'t, const D: usize, T> {
 /// );
 /// let outcomes = batch.execute(&tree, &queries).unwrap();
 /// assert_eq!(outcomes.len(), 4);
-/// // Queries 1..4 share Σ with query 0: one offset table serves all.
+/// // Queries 1..4 share Σ with query 0: one cached grid serves all.
 /// assert_eq!(batch.cache().misses(), 1);
 /// assert_eq!(batch.cache().hits(), 3);
 /// ```
@@ -311,7 +306,7 @@ impl<'c, const D: usize> QueryBatch<'c, D> {
     }
 
     /// Overrides the Σ-cache capacity (floored to 1). Capacity affects
-    /// only how often offset tables are re-drawn — never any answer.
+    /// only how often grids are re-built — never any answer.
     pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
         self.cache = SigmaFactorCache::new(capacity);
         self
@@ -475,30 +470,31 @@ impl<'c, const D: usize> QueryBatch<'c, D> {
         let t2 = Instant::now();
         let budget = NonZeroUsize::new(self.integrator.samples).unwrap_or(NonZeroUsize::MIN);
         let live: Vec<usize> = (0..n).filter(|&q| !aborted[q]).collect();
-        // Every live query consults the cache and builds its grid even
-        // with an empty work list — the solo evaluator's `begin_query`
-        // builds unconditionally, and `cloud_builds == 1` parity (plus
+        // Every live query consults the cache even with an empty work
+        // list — the solo evaluator's `begin_query` builds
+        // unconditionally, and `cloud_builds == 1` parity (plus
         // deterministic hit/miss accounting) depends on matching that.
-        let mut batch_hits = 0usize;
-        let mut batch_misses = 0usize;
-        let mut grids: Vec<CloudGrid<D>> = Vec::with_capacity(live.len());
-        for &q in &live {
-            let gaussian = queries[q].gaussian();
-            let seed = cloud_seed(self.integrator.seed, gaussian);
-            let (idx, hit) = self.cache.get_or_draw(gaussian, budget, seed);
-            if hit {
-                batch_hits += 1;
-            } else {
-                batch_misses += 1;
-            }
-            grids.push(CloudGrid::build_recentered(
-                gaussian.mean(),
-                self.cache.offsets(idx),
-            ));
-        }
+        let hits_before = self.cache.hits();
+        let misses_before = self.cache.misses();
+        let grids: Vec<Arc<CloudGrid<D>>> = live
+            .iter()
+            .map(|&q| {
+                let gaussian = queries[q].gaussian();
+                let seed = cloud_seed(self.integrator.seed, gaussian);
+                self.cache.grid(gaussian, budget, seed)
+            })
+            .collect();
+        let count = |after: u64, before: u64| usize::try_from(after - before).unwrap_or(usize::MAX);
+        let batch_hits = count(self.cache.hits(), hits_before);
+        let batch_misses = count(self.cache.misses(), misses_before);
+        // Probes run in offset space: `candidate − mean`, exactly as the
+        // solo evaluator forms them.
         let centers: Vec<Vec<Vector<D>>> = live
             .iter()
-            .map(|&q| work[q].iter().map(|&(p, _)| *p).collect())
+            .map(|&q| {
+                let mean = *queries[q].gaussian().mean();
+                work[q].iter().map(|&(p, _)| *p - mean).collect()
+            })
             .collect();
         let items: Vec<BatchPhase3Item<'_, D>> = live
             .iter()
@@ -516,9 +512,10 @@ impl<'c, const D: usize> QueryBatch<'c, D> {
         for (&q, (pvec, mut cs)) in live.iter().zip(probs.into_iter().zip(cloud_stats)) {
             stats[q].integrations = work[q].len();
             // The solo evaluator counts its one grid build in
-            // `begin_query`; attribute the (possibly cached) build here.
+            // `begin_query`; attribute the (possibly cached) grid here.
             cs.builds = 1;
             stats[q].absorb_cloud(&cs);
+            stats[q].phase3_samples = cs.samples;
             for (j, &(point, data)) in work[q].iter().enumerate() {
                 if pvec[j] >= queries[q].theta() {
                     answers[q].push((point, data));
@@ -526,6 +523,7 @@ impl<'c, const D: usize> QueryBatch<'c, D> {
             }
             probabilities[q] = pvec;
         }
+        drop(grids);
 
         // --- Recovery: solo Phase-3 re-run for aborted queries. --------
         for q in (0..n).filter(|&q| aborted[q]) {
@@ -534,21 +532,22 @@ impl<'c, const D: usize> QueryBatch<'c, D> {
             }
             let gaussian = queries[q].gaussian();
             let mut rng = StdRng::seed_from_u64(cloud_seed(self.integrator.seed, gaussian));
-            let cloud = SampleCloud::draw(gaussian, budget, &mut rng);
-            let grid = CloudGrid::build(&cloud);
+            let grid = CloudGrid::draw(gaussian.cholesky(), budget, &mut rng);
             let mut cs = CloudStats {
                 builds: 1,
                 ..CloudStats::default()
             };
             for &(point, data) in &work[q] {
                 stats[q].integrations += 1;
-                let p = grid.probability_with_stats(point, queries[q].delta(), &mut cs);
+                let offset = *point - *gaussian.mean();
+                let p = grid.probability_with_stats(&offset, queries[q].delta(), &mut cs);
                 probabilities[q].push(p);
                 if p >= queries[q].theta() {
                     answers[q].push((point, data));
                 }
             }
             stats[q].absorb_cloud(&cs);
+            stats[q].phase3_samples = cs.samples;
         }
         let phase3_each = share(t2.elapsed());
         for st in &mut stats {
@@ -569,6 +568,7 @@ impl<'c, const D: usize> QueryBatch<'c, D> {
             st.answers = ans.len();
             if let Some(m) = metrics {
                 m.record_query(st);
+                m.record_phase3_objects(budget.get(), st.integrations);
             }
             outcomes.push(BatchOutcome {
                 answers: ans,
@@ -631,28 +631,25 @@ mod tests {
     }
 
     #[test]
-    fn cache_fifo_eviction_is_deterministic_and_redraws_bitwise() {
+    fn cache_fifo_eviction_is_deterministic_and_rebuilds_bitwise() {
         let mut cache: SigmaFactorCache<2> = SigmaFactorCache::new(2);
         let n = NonZeroUsize::new(64).unwrap();
         let gauss = |g: f64| Gaussian::new(Vector::from([0.0, 0.0]), sigma(g)).unwrap();
-        let (i0, hit0) = cache.get_or_draw(&gauss(1.0), n, 7);
-        let first = cache.offsets(i0).clone();
-        assert!(!hit0);
-        assert!(cache.get_or_draw(&gauss(1.0), n, 7).1, "second lookup hits");
-        cache.get_or_draw(&gauss(2.0), n, 8);
-        cache.get_or_draw(&gauss(3.0), n, 9); // evicts γ=1.0 (FIFO)
+        let first = cache.grid(&gauss(1.0), n, 7);
+        assert_eq!(cache.misses(), 1);
+        let again = cache.grid(&gauss(1.0), n, 7);
+        assert_eq!(cache.hits(), 1, "second lookup hits");
+        assert!(Arc::ptr_eq(&first, &again), "a hit serves the cached grid");
+        cache.grid(&gauss(2.0), n, 8);
+        cache.grid(&gauss(3.0), n, 9); // evicts γ=1.0 (FIFO)
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.evictions(), 1);
-        let (i1, hit1) = cache.get_or_draw(&gauss(1.0), n, 7);
-        assert!(!hit1, "evicted entry must miss");
-        let redraw = cache.offsets(i1).clone();
-        for d in 0..2 {
-            let same = first[d]
-                .iter()
-                .zip(&redraw[d])
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same, "re-draw after eviction must be bitwise identical");
-        }
+        let rebuilt = cache.grid(&gauss(1.0), n, 7);
+        assert!(!Arc::ptr_eq(&first, &rebuilt), "evicted entry must miss");
+        assert!(
+            *first == *rebuilt,
+            "rebuild after eviction must be identical"
+        );
         assert_eq!((cache.hits(), cache.misses()), (1, 4));
     }
 

@@ -49,25 +49,16 @@ fn nonzero(samples: usize) -> NonZeroUsize {
     NonZeroUsize::new(samples).unwrap_or(NonZeroUsize::MIN)
 }
 
-/// Draws the query's shared sample cloud and indexes it — the single
-/// construction path for every shared-sample evaluator, so the draw
-/// order and grid build stay in sync in one place.
-fn build_grid<const D: usize>(
-    gaussian: &Gaussian<D>,
-    samples: usize,
-    rng: &mut StdRng,
-) -> CloudGrid<D> {
-    CloudGrid::build(&SampleCloud::draw(gaussian, nonzero(samples), rng))
-}
-
 /// The default Phase-3 evaluator: one shared, grid-indexed sample cloud
 /// per query (see [`gprq_gaussian::cloud`]).
 ///
-/// [`ProbabilityEvaluator::begin_query`] rebuilds the cloud for the new
-/// query distribution. Without it the cloud is built lazily on the first
-/// `probability` call and *reused* until the next `begin_query`, so
-/// direct use across different distributions must call `begin_query`
-/// between them.
+/// [`ProbabilityEvaluator::begin_query`] draws and indexes a fresh cloud
+/// ([`CloudGrid::draw`]) from the query's Cholesky factor. Without it the
+/// cloud is built lazily on the first `probability` call and *reused*
+/// until the next `begin_query`, so direct use across different
+/// covariances must call `begin_query` between them. The cloud holds
+/// mean-free offsets and every probe passes `center − mean`, so the
+/// grid itself never depends on the query mean.
 #[derive(Debug, Clone)]
 pub struct MonteCarloEvaluator<const D: usize> {
     samples: usize,
@@ -106,7 +97,11 @@ impl<const D: usize> MonteCarloEvaluator<D> {
 impl<const D: usize> ProbabilityEvaluator<D> for MonteCarloEvaluator<D> {
     fn begin_query(&mut self, gaussian: &Gaussian<D>) {
         self.stats.builds += 1;
-        self.grid = Some(build_grid(gaussian, self.samples, &mut self.rng));
+        self.grid = Some(CloudGrid::draw(
+            gaussian.cholesky(),
+            nonzero(self.samples),
+            &mut self.rng,
+        ));
     }
 
     fn probability(&mut self, gaussian: &Gaussian<D>, center: &Vector<D>, delta: f64) -> f64 {
@@ -116,9 +111,9 @@ impl<const D: usize> ProbabilityEvaluator<D> for MonteCarloEvaluator<D> {
         let builds = &mut self.stats.builds;
         let grid = self.grid.get_or_insert_with(|| {
             *builds += 1;
-            build_grid(gaussian, samples, rng)
+            CloudGrid::draw(gaussian.cholesky(), nonzero(samples), rng)
         });
-        grid.probability_with_stats(center, delta, &mut self.stats)
+        grid.probability_with_stats(&(*center - *gaussian.mean()), delta, &mut self.stats)
     }
 
     fn take_cloud_stats(&mut self) -> CloudStats {
@@ -350,9 +345,11 @@ impl<const D: usize> BudgetedEvaluator<D> for SequentialMonteCarloEvaluator<D> {
         if self.cloud.is_none() {
             self.stats.builds += 1;
         }
-        let cloud = self.cloud.get_or_insert_with(|| {
-            SampleCloud::draw(gaussian, nonzero(block.min(max_samples)), rng)
-        });
+        let chol = gaussian.cholesky();
+        let cloud = self
+            .cloud
+            .get_or_insert_with(|| SampleCloud::draw(chol, nonzero(block.min(max_samples)), rng));
+        let probe = *center - *gaussian.mean();
         let mut est = RunningEstimate::default();
         loop {
             let remaining = max_samples - est.n;
@@ -362,9 +359,9 @@ impl<const D: usize> BudgetedEvaluator<D> for SequentialMonteCarloEvaluator<D> {
             let take = block.min(remaining);
             let need = est.n + take;
             if cloud.len() < need {
-                cloud.extend(gaussian, need - cloud.len(), rng);
+                cloud.extend(chol, need - cloud.len(), rng);
             }
-            est.hits += cloud.count_in_range(center, delta, est.n, need);
+            est.hits += cloud.count_in_range(&probe, delta, est.n, need);
             est.n = need;
             self.stats.samples_tested += take;
             if self.early_termination {

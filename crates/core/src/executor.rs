@@ -55,10 +55,12 @@ pub struct QueryStats {
     pub integrations: usize,
     /// Final answer-set size (the ANS column).
     pub answers: usize,
-    /// Monte-Carlo samples actually drawn in Phase 3. Zero when the
-    /// evaluator does not report sample counts (the fixed-budget
-    /// [`ProbabilityEvaluator`]s); the budgeted resilient path fills it
-    /// so the early-termination saving is measurable.
+    /// Monte-Carlo samples behind the Phase-3 estimates, summed over
+    /// integrated objects. A shared-cloud estimate is a hit fraction over
+    /// the whole cloud, so each object counts the cloud size; the
+    /// budgeted resilient path counts the samples it actually consumed,
+    /// so the early-termination saving is measurable. Zero for
+    /// deterministic evaluators.
     pub phase3_samples: usize,
     /// Phase-3 integrations that stopped before their full sample budget
     /// because the confidence interval already cleared `θ`.
@@ -348,13 +350,19 @@ impl<'c> PrqExecutor<'c> {
             }
         }
         stats.phase3_time = t2.elapsed();
-        stats.absorb_cloud(&evaluator.take_cloud_stats());
+        let cloud = evaluator.take_cloud_stats();
+        stats.absorb_cloud(&cloud);
+        stats.phase3_samples = cloud.samples;
         stats.answers = answers.len();
         if let Some(span) = span3 {
             span.finish();
         }
         if let Some(metrics) = self.metrics {
             metrics.record_query(&stats);
+            // Every probability of one query probes the same cloud, so
+            // the samples split evenly across the integrated objects.
+            let per_object = cloud.samples.checked_div(stats.integrations).unwrap_or(0);
+            metrics.record_phase3_objects(per_object, stats.integrations);
         }
 
         Ok(PrqOutcome { answers, stats })

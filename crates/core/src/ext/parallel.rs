@@ -3,8 +3,8 @@
 //! Phase 3 — the ≥97 %-of-runtime phase — parallelizes embarrassingly.
 //! The default [`Phase3Mode::SharedCloud`] engine draws **one** sample
 //! cloud per query from the base seed (the proposal distribution never
-//! depends on the candidate, §V-A), indexes it with a
-//! [`CloudGrid`], and partitions
+//! depends on the candidate, §V-A), indexes it in the same fused pass
+//! ([`CloudGrid::draw`]), and partitions
 //! *candidates* — not samples — across workers. Every worker reads the
 //! same immutable grid, so results are bit-identical across thread
 //! counts by construction.
@@ -23,7 +23,7 @@
 use crate::error::PrqError;
 use crate::metrics::PipelineMetrics;
 use crate::query::PrqQuery;
-use gprq_gaussian::cloud::{CloudGrid, CloudStats, SampleCloud};
+use gprq_gaussian::cloud::{CloudGrid, CloudStats};
 use gprq_gaussian::integrate::importance_sampling_probability;
 use gprq_linalg::Vector;
 use rand::rngs::StdRng;
@@ -50,7 +50,8 @@ pub enum Phase3Mode {
 pub(crate) struct BatchPhase3Item<'a, const D: usize> {
     /// The query's grid-indexed sample cloud.
     pub grid: &'a CloudGrid<D>,
-    /// Candidate centers surviving Phases 1–2, in work-list order.
+    /// Candidate centers surviving Phases 1–2, in work-list order, as
+    /// offsets from the query mean (`center − mean`).
     pub candidates: &'a [Vector<D>],
     /// The query's range radius `δ`.
     pub delta: f64,
@@ -173,8 +174,8 @@ impl ParallelIntegrator {
         // `new` rejects samples == 0, so the floor never engages.
         let budget = NonZeroUsize::new(self.samples).unwrap_or(NonZeroUsize::MIN);
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let cloud = SampleCloud::draw(query.gaussian(), budget, &mut rng);
-        let grid = CloudGrid::build(&cloud);
+        let grid = CloudGrid::draw(query.gaussian().cholesky(), budget, &mut rng);
+        let mean = *query.gaussian().mean();
         let workers = self.worker_count().min(n);
         let chunk = n.div_ceil(workers);
         let mut worker_stats = vec![CloudStats::default(); workers];
@@ -194,7 +195,7 @@ impl ParallelIntegrator {
                     // bit-identical across thread counts.
                     for (offset, slot) in out_chunk.iter_mut().enumerate() {
                         *slot = grid.probability_with_stats(
-                            &candidates[start + offset],
+                            &(candidates[start + offset] - mean),
                             query.delta(),
                             local,
                         );
@@ -218,6 +219,7 @@ impl ParallelIntegrator {
                 total.merge(s);
             }
             m.record_cloud(&total);
+            m.record_phase3_objects(self.samples, n);
         }
         out
     }
@@ -265,6 +267,13 @@ impl ParallelIntegrator {
                 });
             }
         });
+        if let Some(m) = metrics {
+            m.record_cloud(&CloudStats {
+                samples: n.saturating_mul(self.samples),
+                ..CloudStats::default()
+            });
+            m.record_phase3_objects(self.samples, n);
+        }
         out
     }
 

@@ -10,8 +10,9 @@
 //!
 //! Counters are flushed **once per query** from the already-maintained
 //! [`QueryStats`], so per-candidate work sees no instrumentation at
-//! all; only the three phase spans and the per-object sample histogram
-//! touch metrics inside a query. The `BENCH_obs.json` guard holds the
+//! all; only the three phase spans touch metrics inside a query, plus
+//! the per-object sample histogram on the budgeted path (the
+//! fixed-budget paths record it once per query). The `BENCH_obs.json` guard holds the
 //! end-to-end overhead of this design under 3 %.
 //!
 //! Span-to-paper mapping: [`Phase::Search`] is the paper's Phase 1
@@ -57,9 +58,12 @@ pub mod names {
     pub const PHASE3_EARLY_TERMINATIONS: &str = "prq_phase3_early_terminations_total";
     /// Counter: objects reported `Verdict::Uncertain`.
     pub const PHASE3_UNCERTAIN: &str = "prq_phase3_uncertain_total";
-    /// Counter: Monte-Carlo samples drawn in Phase 3 (budgeted paths).
+    /// Counter: Monte-Carlo samples behind Phase-3 estimates, summed
+    /// over integrated objects (on the shared-cloud paths each object
+    /// counts the whole cloud; the budgeted path counts what it drew).
     pub const PHASE3_SAMPLES: &str = "prq_phase3_samples_total";
-    /// Histogram: samples drawn per integrated object (budgeted paths).
+    /// Histogram: samples per integrated object, on every Phase-3 path;
+    /// its sum equals `prq_phase3_samples_total`.
     pub const PHASE3_SAMPLES_PER_OBJECT: &str = "prq_phase3_samples_per_object";
     /// Histogram: Phase-1 wall-clock nanoseconds per query.
     pub const PHASE1_DURATION_NS: &str = "prq_phase1_duration_ns";
@@ -108,12 +112,11 @@ pub mod names {
     pub const BATCHES: &str = "prq_batches_total";
     /// Counter: queries executed through the batch planner.
     pub const BATCH_QUERIES: &str = "prq_batch_queries_total";
-    /// Counter: batch queries whose Σ-keyed factor/offset table was
-    /// already cached by an earlier group member (Cholesky + sample
-    /// offsets reused, Box–Muller skipped).
+    /// Counter: batch queries whose Σ-keyed cloud grid was already
+    /// cached (no draw and no grid build for that query).
     pub const BATCH_SIGMA_CACHE_HITS: &str = "prq_batch_sigma_cache_hits";
-    /// Counter: batch queries that had to draw a fresh Σ-group offset
-    /// table (first member of the group, or evicted entry).
+    /// Counter: batch queries that had to draw and index a fresh Σ-group
+    /// cloud grid (first member of the group, or evicted entry).
     pub const BATCH_SIGMA_CACHE_MISSES: &str = "prq_batch_sigma_cache_misses";
     /// Counter: batch members lost to an injected/internal fault and
     /// recovered through the solo re-run path (every hop reported).
@@ -312,9 +315,11 @@ impl PipelineMetrics {
     }
 
     /// Flushes a shared-cloud statistics block (used by the parallel
-    /// integrator, which records directly rather than via `QueryStats`).
+    /// integrator, which records directly rather than via `QueryStats`),
+    /// its estimate samples included.
     pub fn record_cloud(&self, stats: &gprq_gaussian::cloud::CloudStats) {
         self.cloud_builds.add(as_u64(stats.builds));
+        self.phase3_samples.add(as_u64(stats.samples));
         self.cloud_cells_scanned.add(as_u64(stats.cells_scanned));
         self.cloud_cells_inside.add(as_u64(stats.cells_inside));
         self.cloud_samples_tested.add(as_u64(stats.samples_tested));
@@ -323,6 +328,17 @@ impl PipelineMetrics {
     /// Records the sample count one budgeted Phase-3 integration drew.
     pub fn record_phase3_object(&self, samples: usize) {
         self.samples_per_object.record(as_u64(samples));
+    }
+
+    /// Records `objects` fixed-budget Phase-3 integrations that each
+    /// rest on `samples_per_object` samples, in one histogram write —
+    /// once per query, so per-candidate work stays uninstrumented. The
+    /// matching `prq_phase3_samples_total` arrives through
+    /// [`PipelineMetrics::record_query`] or
+    /// [`PipelineMetrics::record_cloud`].
+    pub fn record_phase3_objects(&self, samples_per_object: usize, objects: usize) {
+        self.samples_per_object
+            .record_n(as_u64(samples_per_object), as_u64(objects));
     }
 
     /// Flushes a resilient execution's degradation report into the
@@ -445,6 +461,7 @@ mod tests {
         let m = PipelineMetrics::new();
         let stats = gprq_gaussian::cloud::CloudStats {
             builds: 1,
+            samples: 4_000,
             cells_scanned: 12,
             cells_inside: 7,
             samples_tested: 320,
@@ -453,6 +470,7 @@ mod tests {
         m.record_cloud(&stats);
         let snap = m.snapshot();
         assert_eq!(snap.counter(names::CLOUD_BUILDS), Some(2));
+        assert_eq!(snap.counter(names::PHASE3_SAMPLES), Some(8_000));
         assert_eq!(snap.counter(names::CLOUD_CELLS_SCANNED), Some(24));
         assert_eq!(snap.counter(names::CLOUD_CELLS_INSIDE), Some(14));
         assert_eq!(snap.counter(names::CLOUD_SAMPLES_TESTED), Some(640));

@@ -1,16 +1,23 @@
-//! ISSUE-9 Σ-cache correctness: the offset cache is a pure
-//! amortization. Cold path (miss, fresh Box–Muller draw) and hit path
-//! (cached offsets, re-centered) must produce bitwise-identical
-//! answers; eviction and capacity are deterministic; and the cache
+//! Σ-cache correctness: the grid cache is a pure amortization. Cold
+//! path (miss: fresh draw and grid build) and hit path (the cached grid
+//! itself, no draw, no build) must produce bitwise-identical answers; a
+//! cached grid is the grid a solo evaluator builds from the same
+//! `cloud_seed`; eviction and capacity are deterministic; and the cache
 //! counters flow into `PipelineMetrics` under their wire names.
 
 use gprq_core::ext::parallel::ParallelIntegrator;
 use gprq_core::metrics::names;
-use gprq_core::{PipelineMetrics, PrqExecutor, PrqQuery, QueryBatch, StrategySet};
+use gprq_core::{
+    cloud_seed, PipelineMetrics, PrqExecutor, PrqQuery, QueryBatch, SigmaFactorCache, StrategySet,
+};
+use gprq_gaussian::cloud::CloudGrid;
+use gprq_gaussian::Gaussian;
 use gprq_linalg::{Matrix, Vector};
 use gprq_rtree::{RStarParams, RTree};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::num::NonZeroUsize;
+use std::sync::Arc;
 
 const SAMPLES: usize = 5_000;
 const SEED: u64 = 77;
@@ -135,4 +142,58 @@ fn cache_counters_flow_into_pipeline_metrics() {
     assert_eq!(snap.counter(names::QUERIES), Some(8));
     // And the fused Phase 3 built one cloud per query per batch.
     assert_eq!(snap.counter(names::CLOUD_BUILDS), Some(8));
+}
+
+/// A hit is served by the cached grid object itself — the same
+/// allocation, so no draw and no grid build happened — even for a
+/// query with a different mean; only a miss constructs a grid.
+#[test]
+fn cache_hit_performs_no_draw_and_no_build() {
+    let mut cache: SigmaFactorCache<2> = SigmaFactorCache::new(4);
+    let n = NonZeroUsize::new(SAMPLES).unwrap();
+    let a = Gaussian::new(Vector::from([500.0, 500.0]), sigma(10.0)).unwrap();
+    let b = Gaussian::new(Vector::from([-70.0, 1_234.5]), sigma(10.0)).unwrap();
+    let seed = cloud_seed(SEED, &a);
+    assert_eq!(seed, cloud_seed(SEED, &b), "same Σ, same seed");
+
+    let cold = cache.grid(&a, n, seed);
+    assert_eq!((cache.misses(), cache.hits()), (1, 0));
+    for g in [&a, &b, &a] {
+        let hit = cache.grid(g, n, seed);
+        assert!(
+            Arc::ptr_eq(&cold, &hit),
+            "a hit must hand out the cached grid, not a rebuilt one"
+        );
+    }
+    assert_eq!((cache.misses(), cache.hits()), (1, 3));
+    assert_eq!(cache.len(), 1);
+}
+
+/// The cached grid is exactly the grid a solo `MonteCarloEvaluator`
+/// seeded with `cloud_seed` builds in `begin_query`
+/// (`CloudGrid::draw` from that seed): equal layout and offsets, and
+/// bitwise-equal probabilities at every probe.
+#[test]
+fn cached_grid_is_bitwise_the_solo_evaluator_grid() {
+    let mut cache: SigmaFactorCache<2> = SigmaFactorCache::new(2);
+    let n = NonZeroUsize::new(SAMPLES).unwrap();
+    for (mean, gamma) in [([500.0, 500.0], 10.0), ([300.0, 650.0], 3.0)] {
+        let g = Gaussian::new(Vector::from(mean), sigma(gamma)).unwrap();
+        let seed = cloud_seed(SEED, &g);
+        let cached = cache.grid(&g, n, seed);
+        let solo = CloudGrid::draw(g.cholesky(), n, &mut StdRng::seed_from_u64(seed));
+        assert!(*cached == solo, "cached grid differs from the solo grid");
+        let mut probe = StdRng::seed_from_u64(5);
+        for _ in 0..100 {
+            let offset = Vector::from([
+                (probe.gen::<f64>() - 0.5) * 60.0,
+                (probe.gen::<f64>() - 0.5) * 60.0,
+            ]);
+            let delta = probe.gen::<f64>() * 30.0;
+            assert_eq!(
+                cached.probability(&offset, delta).to_bits(),
+                solo.probability(&offset, delta).to_bits()
+            );
+        }
+    }
 }

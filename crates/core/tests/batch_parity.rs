@@ -122,7 +122,7 @@ fn assert_batch_matches_solo<I>(
         // must match to the last bit.
         let budget = NonZeroUsize::new(SAMPLES).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
-        let cloud = SampleCloud::draw(query.gaussian(), budget, &mut rng);
+        let cloud = SampleCloud::draw(query.gaussian().cholesky(), budget, &mut rng);
         let grid = CloudGrid::build(&cloud);
         assert_eq!(
             outcome.probabilities.len(),
@@ -135,6 +135,9 @@ fn assert_batch_matches_solo<I>(
             .zip(&outcome.probabilities)
             .enumerate()
         {
+            // The cloud holds offsets from the mean: probe with
+            // `point − mean`, as the evaluators do.
+            let point = &(*point - *query.gaussian().mean());
             let expected = grid.probability(point, query.delta());
             assert_eq!(
                 p.to_bits(),

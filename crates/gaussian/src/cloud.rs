@@ -19,6 +19,18 @@
 //!   kernel over their contiguous sample range. Per-candidate cost
 //!   drops from `O(samples)` to `O(samples near the candidate)`.
 //!
+//! **Offset space.** Both types hold the mean-free offsets
+//! `w_j = L·z_j` of a Cholesky factor `L` (with `z_j` from the
+//! [`Ziggurat`]), never the samples `q + w_j` themselves. Since
+//! `‖(q + w) − o‖ = ‖w − (o − q)‖`, a probe for the object `o` passes
+//! the offset `o − q`. A cloud therefore depends only on
+//! `(L, n, rng)`: one grid serves every query that shares Σ, whatever
+//! its mean, which is what lets the batch executor cache whole grids.
+//! [`CloudGrid::draw`] builds a grid in one fused pass over fresh
+//! draws — the bounding box is tracked during the draw, one pass
+//! computes `u32` cell ids and the cell histogram together, and one
+//! scatter places each sample and widens its cell's tight bounds.
+//!
 //! **Estimator caveat** (why conformance, not bit-parity, is the
 //! correctness gate): sharing one cloud across every candidate of a
 //! query makes the per-candidate estimation errors *positively
@@ -30,14 +42,14 @@
 //!
 //! Grid and linear scans over the *same* cloud, however, agree
 //! **exactly** (same hit count, bit for bit): both paths compute each
-//! sample's squared distance with the identical summation order, and
-//! the fully-inside shortcut only fires when the cell's farthest
-//! corner — evaluated with that same ordering — already clears `δ²`.
-//! Rounding is monotone, so no counted sample can escape and no
-//! uncounted one can sneak in. The `cloud_grid` test suite pins this.
+//! sample's squared distance `Σ_d (w_d − c_d)²` to the same offset
+//! probe `c` with the identical summation order, and the fully-inside
+//! shortcut only fires when the cell's farthest corner — evaluated with
+//! that same ordering — already clears `δ²`. Rounding is monotone, so
+//! no counted sample can escape and no uncounted one can sneak in. The
+//! `cloud_grid` test suite pins this.
 
-use crate::mvn::Gaussian;
-use crate::sampler::{GaussianSampler, StandardNormal};
+use crate::sampler::Ziggurat;
 use gprq_linalg::{Cholesky, Vector};
 use rand::Rng;
 use std::num::NonZeroUsize;
@@ -63,6 +75,10 @@ const KERNEL_BLOCK: usize = 256;
 pub struct CloudStats {
     /// Sample clouds drawn (one per query on the shared-sample path).
     pub builds: usize,
+    /// Samples behind the returned estimates: each
+    /// [`CloudGrid::probability_with_stats`] call adds the cloud size,
+    /// because every estimate is a hit fraction over the whole cloud.
+    pub samples: usize,
     /// Grid cells visited across all probes.
     pub cells_scanned: usize,
     /// Visited cells classified fully-inside (counted without distance
@@ -77,107 +93,63 @@ impl CloudStats {
     /// Accumulates `other` into `self`, field by field.
     pub fn merge(&mut self, other: &CloudStats) {
         self.builds += other.builds;
+        self.samples += other.samples;
         self.cells_scanned += other.cells_scanned;
         self.cells_inside += other.cells_inside;
         self.samples_tested += other.samples_tested;
     }
 }
 
-/// One query's Monte-Carlo sample batch in structure-of-arrays layout:
-/// coordinate `d` of sample `i` lives at `coords[d][i]`.
+/// Draws one offset `w = L·z`, `z` from the ziggurat in coordinate order
+/// — the single draw step of every cloud, so [`SampleCloud`] and
+/// [`CloudGrid::draw`] consume identical streams.
+fn draw_offset<const D: usize, R: Rng + ?Sized>(
+    normal: &Ziggurat,
+    chol: &Cholesky<D>,
+    rng: &mut R,
+) -> Vector<D> {
+    chol.apply(&normal.sample_vector(rng))
+}
+
+/// One query's Monte-Carlo sample batch in offset space and
+/// structure-of-arrays layout: coordinate `d` of offset `w_i = L·z_i`
+/// lives at `coords[d][i]`. Probes pass `center − mean` (module docs).
 ///
-/// Samples are stored in draw order, so the first `k` columns entries
+/// Offsets are stored in draw order, so the first `k` column entries
 /// are exactly the first `k` draws — the prefix property the budgeted
-/// evaluator's blockwise early termination relies on. The draw order
-/// itself matches [`GaussianSampler::sample_batch`] bit for bit (pinned
-/// by a proptest).
+/// evaluator's blockwise early termination relies on. Sample `i` of the
+/// distribution is bitwise `mean + w_i` as
+/// [`GaussianSampler::sample_batch`](crate::GaussianSampler::sample_batch)
+/// draws it from the same `rng` state (pinned by a proptest).
 #[derive(Debug, Clone)]
 pub struct SampleCloud<const D: usize> {
     coords: [Vec<f64>; D],
 }
 
 impl<const D: usize> SampleCloud<D> {
-    /// Draws `n_samples` from `gaussian` once, in the same order as
-    /// [`GaussianSampler::sample_batch`].
+    /// Draws `n_samples` offsets `w_j = L·z_j` for the Cholesky factor
+    /// `chol`.
     ///
     /// The count is a [`NonZeroUsize`], so an empty cloud — which would
     /// turn `0/0` into a silent rejection — is unrepresentable and this
     /// constructor cannot fail or panic.
-    pub fn draw<R: Rng + ?Sized>(
-        gaussian: &Gaussian<D>,
-        n_samples: NonZeroUsize,
-        rng: &mut R,
-    ) -> Self {
+    pub fn draw<R: Rng + ?Sized>(chol: &Cholesky<D>, n_samples: NonZeroUsize, rng: &mut R) -> Self {
         let n = n_samples.get();
-        let mut coords: [Vec<f64>; D] = std::array::from_fn(|_| Vec::with_capacity(n));
-        let mut sampler = GaussianSampler::new(gaussian);
-        for _ in 0..n {
-            let x = sampler.sample(rng);
-            for (col, &v) in coords.iter_mut().zip(x.as_slice()) {
-                col.push(v);
-            }
-        }
-        SampleCloud { coords }
+        let mut cloud = SampleCloud {
+            coords: std::array::from_fn(|_| Vec::with_capacity(n)),
+        };
+        cloud.extend(chol, n, rng);
+        cloud
     }
 
-    /// Draws `n_samples` *mean-free offsets* `w_j = L·z_j` for a
-    /// Cholesky factor `L`, in SoA layout (`offsets[d][j]` is coordinate
-    /// `d` of offset `j`). The `z_j` stream comes from one fresh
-    /// [`StandardNormal`] whose Box–Muller spare persists across draws —
-    /// exactly the stream a fresh [`GaussianSampler`] would consume.
-    ///
-    /// This is the batch executor's Σ-group cache primitive: queries
-    /// sharing a covariance (hence, bitwise, a factor `L`) share one
-    /// offset table and re-center it per query with
-    /// [`SampleCloud::from_offsets`]. Because [`GaussianSampler::sample`]
-    /// materializes `L·z` as a vector *before* the single component-wise
-    /// add of the mean, `from_offsets(mean, draw_offsets(L, n, rng))` is
-    /// bitwise identical to [`SampleCloud::draw`] from the same `rng`
-    /// state — the parity tests below pin this.
-    pub fn draw_offsets<R: Rng + ?Sized>(
-        chol: &Cholesky<D>,
-        n_samples: NonZeroUsize,
-        rng: &mut R,
-    ) -> [Vec<f64>; D] {
-        let n = n_samples.get();
-        let mut offsets: [Vec<f64>; D] = std::array::from_fn(|_| Vec::with_capacity(n));
-        let mut standard = StandardNormal::new();
-        for _ in 0..n {
-            let z: Vector<D> = standard.sample_vector(rng);
-            let w = chol.apply(&z);
-            for (col, &v) in offsets.iter_mut().zip(w.as_slice()) {
-                col.push(v);
-            }
-        }
-        offsets
-    }
-
-    /// Builds a cloud by re-centering an offset table from
-    /// [`SampleCloud::draw_offsets`]: sample `j` is `mean + w_j`,
-    /// computed with the same component-wise add as the sampler, so the
-    /// result is bitwise identical to drawing fresh from the same `rng`
-    /// state with a [`Gaussian`] carrying that mean and factor.
-    pub fn from_offsets(mean: &Vector<D>, offsets: &[Vec<f64>; D]) -> Self {
-        let coords: [Vec<f64>; D] = std::array::from_fn(|d| {
-            let m = mean[d];
-            offsets[d].iter().map(|&w| m + w).collect()
-        });
-        SampleCloud { coords }
-    }
-
-    /// Appends `additional` fresh draws from `gaussian`, preserving draw
-    /// order — extending to `n` total samples leaves the first ones
-    /// bitwise unchanged, so running prefixes stay valid estimates.
-    pub fn extend<R: Rng + ?Sized>(
-        &mut self,
-        gaussian: &Gaussian<D>,
-        additional: usize,
-        rng: &mut R,
-    ) {
-        let mut sampler = GaussianSampler::new(gaussian);
+    /// Appends `additional` fresh offsets, preserving draw order. The
+    /// ziggurat carries no state between draws, so drawing `n` and then
+    /// extending by `m` is bitwise identical to drawing `n + m` at once.
+    pub fn extend<R: Rng + ?Sized>(&mut self, chol: &Cholesky<D>, additional: usize, rng: &mut R) {
+        let normal = Ziggurat::new();
         for _ in 0..additional {
-            let x = sampler.sample(rng);
-            for (col, &v) in self.coords.iter_mut().zip(x.as_slice()) {
+            let w = draw_offset(&normal, chol, rng);
+            for (col, &v) in self.coords.iter_mut().zip(w.as_slice()) {
                 col.push(v);
             }
         }
@@ -189,12 +161,12 @@ impl<const D: usize> SampleCloud<D> {
     }
 
     /// `true` only for `D == 0` degenerate instantiations; every cloud
-    /// built by [`SampleCloud::draw`] holds at least one sample.
+    /// built by [`SampleCloud::draw`] holds at least one offset.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Sample `i` reassembled as a vector (`None` past the end).
+    /// Offset `i` reassembled as a vector (`None` past the end).
     pub fn get(&self, i: usize) -> Option<Vector<D>> {
         if i < self.len() {
             Some(Vector::from_fn(|d| {
@@ -209,13 +181,14 @@ impl<const D: usize> SampleCloud<D> {
     }
 
     /// The raw coordinate columns (column `d` holds coordinate `d` of
-    /// every sample, in draw order).
+    /// every offset, in draw order).
     pub fn columns(&self) -> &[Vec<f64>; D] {
         &self.coords
     }
 
-    /// Counts samples with `‖x − center‖ ≤ delta` by a linear scan of
-    /// the whole cloud. Debug-asserts `delta ≥ 0`.
+    /// Counts offsets with `‖w − center‖ ≤ delta` by a linear scan of
+    /// the whole cloud; `center` is the probe in offset space
+    /// (`object − mean`). Debug-asserts `delta ≥ 0`.
     // HOT-PATH: shared-cloud linear hit count (Phase 3 inner loop)
     pub fn count_within(&self, center: &Vector<D>, delta: f64) -> usize {
         debug_assert!(delta >= 0.0);
@@ -243,8 +216,8 @@ impl<const D: usize> SampleCloud<D> {
         )
     }
 
-    /// Estimates `Pr(‖x − center‖ ≤ delta)` as the hit fraction of the
-    /// full cloud.
+    /// Estimates `Pr(‖w − center‖ ≤ delta)` (offset-space probe) as the
+    /// hit fraction of the full cloud.
     pub fn probability(&self, center: &Vector<D>, delta: f64) -> f64 {
         if self.is_empty() {
             return 0.0;
@@ -308,9 +281,17 @@ fn grid_slot(t: f64, max_index: usize) -> usize {
     (t as usize).min(max_index)
 }
 
-/// A uniform grid over a [`SampleCloud`], with samples reordered cell by
-/// cell (CSR layout) and a tight per-cell bounding box of the samples it
-/// actually holds.
+/// Widens the bounding box `[lo, hi]` to contain `w`.
+fn widen_box<const D: usize>(lo: &mut [f64; D], hi: &mut [f64; D], w: &Vector<D>) {
+    for ((l, h), &v) in lo.iter_mut().zip(hi.iter_mut()).zip(w.as_slice()) {
+        *l = l.min(v);
+        *h = h.max(v);
+    }
+}
+
+/// A uniform grid over an offset-space cloud, with the offsets
+/// reordered cell by cell (CSR layout) and a tight per-cell bounding box
+/// of the offsets it actually holds.
 ///
 /// Cell sizing: the per-axis resolution is the largest `r ≤ 128` with
 /// `r^D ≤ n / 16` — about `TARGET_PER_CELL` samples per cell if the
@@ -321,9 +302,14 @@ fn grid_slot(t: f64, max_index: usize) -> usize {
 /// `count` hits with no distance test, boundary cells run the SoA
 /// kernel on their contiguous range. See the module docs for why this
 /// matches the linear scan exactly.
-#[derive(Debug, Clone)]
+///
+/// The grid depends only on `(L, n, rng)`, never on a mean, so one grid
+/// answers every query sharing the covariance: probes pass
+/// `center − mean`. Two grids compare equal when their layout, cell
+/// bounds and offsets all match — as for two draws from one seed.
+#[derive(Debug, Clone, PartialEq)]
 pub struct CloudGrid<const D: usize> {
-    /// Cell-reordered copy of the cloud's coordinate columns.
+    /// Cell-reordered offset columns.
     cols: [Vec<f64>; D],
     /// CSR ranges: cell `c` owns samples `cell_start[c]..cell_start[c+1]`.
     cell_start: Vec<usize>,
@@ -338,57 +324,55 @@ pub struct CloudGrid<const D: usize> {
 }
 
 impl<const D: usize> CloudGrid<D> {
-    /// Indexes `cloud` (copying its samples into cell order). Infallible
-    /// and panic-free for every cloud [`SampleCloud::draw`] can build.
+    /// Draws `n_samples` offsets `w_j = L·z_j` for the factor `chol` and
+    /// indexes them, in one fused build: the bounding box is tracked
+    /// while drawing, then one pass computes each sample's `u32` cell id
+    /// together with the cell histogram, and one scatter places every
+    /// sample in cell order while widening its cell's tight bounds.
+    ///
+    /// Consumes `rng` exactly like [`SampleCloud::draw`], and the result
+    /// is bitwise identical to `CloudGrid::build(&SampleCloud::draw(chol,
+    /// n_samples, rng))` — layout, bounds, and every probe — without the
+    /// intermediate column copy. Infallible and panic-free.
+    pub fn draw<R: Rng + ?Sized>(chol: &Cholesky<D>, n_samples: NonZeroUsize, rng: &mut R) -> Self {
+        let n = n_samples.get();
+        let normal = Ziggurat::new();
+        let mut rows: Vec<Vector<D>> = Vec::with_capacity(n);
+        let mut lo = [f64::INFINITY; D];
+        let mut hi = [f64::NEG_INFINITY; D];
+        for _ in 0..n {
+            let w = draw_offset(&normal, chol, rng);
+            widen_box(&mut lo, &mut hi, &w);
+            rows.push(w);
+        }
+        Self::index(&rows, &lo, &hi)
+    }
+
+    /// Indexes an existing cloud (copying its offsets into cell order).
+    /// Infallible and panic-free for every cloud [`SampleCloud::draw`]
+    /// can build.
     pub fn build(cloud: &SampleCloud<D>) -> Self {
-        Self::build_grid::<false>(cloud.columns(), &[0.0; D])
+        let rows: Vec<Vector<D>> = (0..cloud.len()).filter_map(|i| cloud.get(i)).collect();
+        let mut lo = [f64::INFINITY; D];
+        let mut hi = [f64::NEG_INFINITY; D];
+        for row in &rows {
+            widen_box(&mut lo, &mut hi, row);
+        }
+        Self::index(&rows, &lo, &hi)
     }
 
-    /// Indexes the re-centering of an offset table from
-    /// [`SampleCloud::draw_offsets`] without materializing the
-    /// intermediate cloud: every pass adds `mean` on the fly, with the
-    /// same component-wise `mean + offset` add as
-    /// [`SampleCloud::from_offsets`], so the grid — layout, bounds, and
-    /// every downstream probability — is bitwise identical to
-    /// `build(&SampleCloud::from_offsets(mean, offsets))`. The batch
-    /// executor's Σ-cache hit path uses this to skip one full
-    /// `n × D` allocate-write-read round trip per query.
-    pub fn build_recentered(mean: &Vector<D>, offsets: &[Vec<f64>; D]) -> Self {
-        let mut shift = [0.0f64; D];
-        for (s, &m) in shift.iter_mut().zip(mean.as_slice()) {
-            *s = m;
-        }
-        Self::build_grid::<true>(offsets, &shift)
-    }
-
-    /// The shared build body. With `SHIFT` false the shift is all
-    /// zeros and every element is used as stored; with `SHIFT` true
-    /// each element of column `d` is read as `shift[d] + x` in every
-    /// pass — the same float add producing the same value each time,
-    /// so the two modes agree whenever the shifted input equals the
-    /// unshifted one.
-    fn build_grid<const SHIFT: bool>(source: &[Vec<f64>; D], shift: &[f64; D]) -> Self {
-        let n = source.first().map_or(0, Vec::len);
-
-        // Tight bounding box of the cloud, per axis.
-        let mut origin = [0.0f64; D];
-        let mut upper = [0.0f64; D];
-        for (d, col) in source.iter().enumerate() {
-            let m = shift[d];
-            let mut lo = f64::INFINITY;
-            let mut hi = f64::NEG_INFINITY;
-            for &raw in col {
-                let x = if SHIFT { m + raw } else { raw };
-                lo = lo.min(x);
-                hi = hi.max(x);
-            }
-            origin[d] = lo;
-            upper[d] = hi;
-        }
+    /// The shared build body over samples in draw order with their
+    /// bounding box `[lo, hi]`. Min/max are exact and order-free, so the
+    /// box — and with it every cell id — is the same however it was
+    /// gathered.
+    fn index(rows: &[Vector<D>], lo: &[f64; D], hi: &[f64; D]) -> Self {
+        let n = rows.len();
 
         // Largest uniform per-axis resolution with res^D ≤ n / TARGET,
-        // capped at MAX_RES — integer arithmetic only.
-        let cells_target = (n / TARGET_PER_CELL).max(1);
+        // capped at MAX_RES and at u32::MAX cells (ids are u32) —
+        // integer arithmetic only.
+        let max_cells = usize::try_from(u32::MAX).unwrap_or(usize::MAX);
+        let cells_target = (n / TARGET_PER_CELL).max(1).min(max_cells);
         let dim_exp = u32::try_from(D).unwrap_or(u32::MAX);
         let mut uniform_res = 1usize;
         while uniform_res < MAX_RES {
@@ -403,7 +387,7 @@ impl<const D: usize> CloudGrid<D> {
         let mut inv_width = [0.0f64; D];
         let mut cells = 1usize;
         for d in 0..D {
-            let extent = upper[d] - origin[d];
+            let extent = hi[d] - lo[d];
             if extent.is_finite() && extent > 0.0 {
                 res[d] = uniform_res;
                 let width = extent / uniform_res as f64;
@@ -413,83 +397,51 @@ impl<const D: usize> CloudGrid<D> {
             }
             cells = cells.saturating_mul(res[d]);
         }
+        let origin = *lo;
 
-        // Counting sort into cell order, organized dimension-major for
-        // cache residency in high dimensions. Cell indexing runs the
-        // `cell = cell·res_d + slot_d` fold one axis at a time over all
-        // samples — the same indices a per-sample fold produces, but
-        // the inner loop's iterations are independent, so the float
-        // chain (sub, mul, saturating cast) pipelines across samples
-        // instead of serializing across axes. The destination slot
-        // (`pos`) is then fixed per sample and the scatter runs one
-        // column at a time, its random writes confined to a single
-        // `n`-float column; each column's per-cell bounds are reduced
-        // immediately after its scatter, while the column is still
-        // cache-hot. The permutation is the same stable cursor order as
-        // a fused per-sample scatter, and min/max over the same sample
-        // set is order-independent, so the layout, the bounds, and
-        // every downstream probability are unchanged.
-        let mut cell_idx = vec![0usize; n];
-        for d in 0..D {
-            let (o, iw, r, m) = (origin[d], inv_width[d], res[d], shift[d]);
-            let max_index = r - 1;
-            if d == 0 {
-                for (slot, &raw) in cell_idx.iter_mut().zip(&source[d]) {
-                    let x = if SHIFT { m + raw } else { raw };
-                    *slot = grid_slot((x - o) * iw, max_index);
-                }
-            } else {
-                for (slot, &raw) in cell_idx.iter_mut().zip(&source[d]) {
-                    let x = if SHIFT { m + raw } else { raw };
-                    *slot = *slot * r + grid_slot((x - o) * iw, max_index);
-                }
-            }
-        }
+        // Pass 1: each sample's cell id (`cell = cell·res_d + slot_d`,
+        // axis by axis) and the cell histogram, together. `cells` fits
+        // in u32 by the sizing cap, so the narrowing never saturates.
+        let mut ids: Vec<u32> = Vec::with_capacity(n);
         let mut cell_start = vec![0usize; cells + 1];
-        for &c in &cell_idx {
-            if let Some(count) = cell_start.get_mut(c + 1) {
+        for row in rows {
+            let mut cell = 0usize;
+            for (d, &x) in row.as_slice().iter().enumerate() {
+                cell = cell * res[d] + grid_slot((x - origin[d]) * inv_width[d], res[d] - 1);
+            }
+            if let Some(count) = cell_start.get_mut(cell + 1) {
                 *count += 1;
             }
+            ids.push(u32::try_from(cell).unwrap_or(u32::MAX));
         }
         for c in 1..cell_start.len() {
             cell_start[c] += cell_start[c - 1];
         }
+
+        // Pass 2: one scatter into cell order (stable: draw order within
+        // a cell), widening the cell's tight bounds as each sample lands.
         let mut cursor = cell_start.clone();
-        let mut pos = vec![0usize; n];
-        for (slot, &c) in pos.iter_mut().zip(&cell_idx) {
-            let Some(next) = cursor.get_mut(c) else {
-                continue;
-            };
-            *slot = *next;
-            *next += 1;
-        }
         let mut cols: [Vec<f64>; D] = std::array::from_fn(|_| vec![0.0f64; n]);
         let mut cell_min = vec![f64::INFINITY; cells * D];
         let mut cell_max = vec![f64::NEG_INFINITY; cells * D];
-        for (d, (col, src)) in cols.iter_mut().zip(source).enumerate() {
-            let m = shift[d];
-            for (&p, &raw) in pos.iter().zip(src) {
-                let v = if SHIFT { m + raw } else { raw };
+        for (row, &id) in rows.iter().zip(&ids) {
+            let c = usize::try_from(id).unwrap_or(usize::MAX);
+            let Some(next) = cursor.get_mut(c) else {
+                continue;
+            };
+            let p = *next;
+            *next += 1;
+            let base = c * D;
+            for (d, (col, &v)) in cols.iter_mut().zip(row.as_slice()).enumerate() {
                 if let Some(out) = col.get_mut(p) {
                     *out = v;
                 }
-            }
-            for c in 0..cells {
-                let (Some(&start), Some(&end)) = (cell_start.get(c), cell_start.get(c + 1)) else {
-                    continue;
-                };
-                let Some(seg) = col.get(start..end) else {
-                    continue;
-                };
-                let mut lo = f64::INFINITY;
-                let mut hi = f64::NEG_INFINITY;
-                for &v in seg {
-                    lo = lo.min(v);
-                    hi = hi.max(v);
+                if let Some(m) = cell_min.get_mut(base + d) {
+                    *m = m.min(v);
                 }
-                let at = c * D + d;
-                cell_min[at] = lo;
-                cell_max[at] = hi;
+                if let Some(m) = cell_max.get_mut(base + d) {
+                    *m = m.max(v);
+                }
             }
         }
 
@@ -511,7 +463,7 @@ impl<const D: usize> CloudGrid<D> {
     }
 
     /// `true` when the grid indexes no samples (unreachable via
-    /// [`CloudGrid::build`] over a drawn cloud).
+    /// [`CloudGrid::draw`] or [`CloudGrid::build`] over a drawn cloud).
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
@@ -526,9 +478,10 @@ impl<const D: usize> CloudGrid<D> {
         self.res
     }
 
-    /// Counts samples with `‖x − center‖ ≤ delta`, visiting only cells
-    /// that can intersect the ball. Exactly equals
-    /// [`SampleCloud::count_within`] over the source cloud.
+    /// Counts offsets with `‖w − center‖ ≤ delta`, visiting only cells
+    /// that can intersect the ball; `center` is the probe in offset
+    /// space (`object − mean`). Exactly equals
+    /// [`SampleCloud::count_within`] over the same offsets.
     // HOT-PATH: grid-indexed hit count (Phase 3 inner loop)
     pub fn count_within(&self, center: &Vector<D>, delta: f64) -> usize {
         let mut stats = CloudStats::default();
@@ -605,8 +558,10 @@ impl<const D: usize> CloudGrid<D> {
         }
     }
 
-    /// Estimates `Pr(‖x − center‖ ≤ delta)` as the grid-counted hit
-    /// fraction, accumulating probe counters into `stats`.
+    /// Estimates `Pr(‖w − center‖ ≤ delta)` (offset-space probe) as the
+    /// grid-counted hit fraction, accumulating probe counters — including
+    /// the cloud size as this estimate's [`CloudStats::samples`] — into
+    /// `stats`.
     // HOT-PATH: grid-indexed qualification probability (Phase 3)
     pub fn probability_with_stats(
         &self,
@@ -617,11 +572,12 @@ impl<const D: usize> CloudGrid<D> {
         if self.len == 0 {
             return 0.0;
         }
+        stats.samples += self.len;
         self.count_within_stats(center, delta, stats) as f64 / self.len as f64
     }
 
-    /// Estimates `Pr(‖x − center‖ ≤ delta)` as the grid-counted hit
-    /// fraction of the cloud.
+    /// Estimates `Pr(‖w − center‖ ≤ delta)` (offset-space probe) as the
+    /// grid-counted hit fraction of the cloud.
     pub fn probability(&self, center: &Vector<D>, delta: f64) -> f64 {
         let mut stats = CloudStats::default();
         self.probability_with_stats(center, delta, &mut stats)
@@ -654,6 +610,7 @@ impl<const D: usize> CloudGrid<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mvn::Gaussian;
     use gprq_linalg::Matrix;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -671,27 +628,27 @@ mod tests {
     fn cloud_matches_quadrature_oracle() {
         let g = Gaussian::new(Vector::from([100.0, 100.0]), sigma_paper(10.0)).unwrap();
         let mut rng = StdRng::seed_from_u64(4242);
-        let cloud = SampleCloud::draw(&g, nz(200_000), &mut rng);
+        let cloud = SampleCloud::draw(g.cholesky(), nz(200_000), &mut rng);
         assert_eq!(cloud.len(), 200_000);
         assert!(!cloud.is_empty());
         let center = Vector::from([110.0, 95.0]);
         let delta = 25.0;
         let exact = crate::integrate::quadrature_probability_2d(&g, &center, delta, 64, 128);
-        let linear = cloud.probability(&center, delta);
+        let probe = center - *g.mean();
+        let linear = cloud.probability(&probe, delta);
         assert!(
             (linear - exact).abs() < 0.006,
             "cloud {linear} vs exact {exact}"
         );
         let grid = CloudGrid::build(&cloud);
-        assert_eq!(grid.probability(&center, delta), linear);
+        assert_eq!(grid.probability(&probe, delta), linear);
     }
 
     #[test]
     fn cloud_monotone_in_delta() {
         let g = Gaussian::<2>::standard();
         let mut rng = StdRng::seed_from_u64(8);
-        let cloud = SampleCloud::draw(&g, nz(50_000), &mut rng);
-        let grid = CloudGrid::build(&cloud);
+        let grid = CloudGrid::draw(g.cholesky(), nz(50_000), &mut rng);
         let center = Vector::from([0.5, 0.5]);
         let mut prev = 0.0;
         for delta in [0.1, 0.5, 1.0, 2.0, 4.0] {
@@ -705,8 +662,8 @@ mod tests {
     fn prefix_ranges_sum_to_full_scan() {
         let g = Gaussian::new(Vector::from([5.0, -3.0]), sigma_paper(4.0)).unwrap();
         let mut rng = StdRng::seed_from_u64(99);
-        let cloud = SampleCloud::draw(&g, nz(10_000), &mut rng);
-        let center = Vector::from([6.0, -2.0]);
+        let cloud = SampleCloud::draw(g.cholesky(), nz(10_000), &mut rng);
+        let center = Vector::from([6.0, -2.0]) - *g.mean();
         let delta = 10.0;
         let full = cloud.count_within(&center, delta);
         for split in [0, 1, 255, 256, 257, 5_000, 9_999, 10_000] {
@@ -719,74 +676,24 @@ mod tests {
     }
 
     #[test]
-    fn extend_preserves_prefix_bitwise() {
-        let g = Gaussian::new(Vector::from([1.0, 2.0]), sigma_paper(2.0)).unwrap();
+    fn draw_then_extend_equals_one_draw_bitwise() {
+        // The ziggurat keeps no spare between draws, so splitting a draw
+        // anywhere — including mid-vector in an odd dimension — consumes
+        // the stream exactly like one draw of the total.
+        let cov = Matrix::<3>::identity().scale(2.5);
+        let g = Gaussian::new(Vector::from([1.0, 2.0, 3.0]), cov).unwrap();
         let mut rng_a = StdRng::seed_from_u64(7);
         let mut rng_b = StdRng::seed_from_u64(7);
-        let big = SampleCloud::draw(&g, nz(2_000), &mut rng_a);
-        let mut grown = SampleCloud::draw(&g, nz(512), &mut rng_b);
-        grown.extend(&g, 1_488, &mut rng_b);
-        assert_eq!(grown.len(), 2_000);
-        for d in 0..2 {
-            for i in 0..512 {
-                assert_eq!(
-                    big.columns()[d][i].to_bits(),
-                    grown.columns()[d][i].to_bits(),
-                    "draw-order prefix must be bitwise stable (d={d}, i={i})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn offset_cloud_is_bitwise_identical_to_fresh_draw() {
-        // The Σ-group cache contract: re-centering a shared offset table
-        // reproduces a fresh per-query draw bit for bit, because the
-        // sampler materializes L·z before the single mean add.
-        let sigma = sigma_paper(3.0);
-        let g_a = Gaussian::new(Vector::from([10.0, -4.0]), sigma).unwrap();
-        let g_b = Gaussian::new(Vector::from([-250.0, 97.5]), sigma).unwrap();
-
-        let offsets = {
-            let mut rng = StdRng::seed_from_u64(77);
-            SampleCloud::draw_offsets(g_a.cholesky(), nz(3_000), &mut rng)
-        };
-        for g in [&g_a, &g_b] {
-            let mut rng = StdRng::seed_from_u64(77);
-            let fresh = SampleCloud::draw(g, nz(3_000), &mut rng);
-            let recentered = SampleCloud::from_offsets(g.mean(), &offsets);
-            assert_eq!(recentered.len(), 3_000);
-            for d in 0..2 {
-                for i in 0..3_000 {
-                    assert_eq!(
-                        fresh.columns()[d][i].to_bits(),
-                        recentered.columns()[d][i].to_bits(),
-                        "offset cloud diverges from fresh draw (d={d}, i={i})"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn offset_stream_matches_sampler_spare_caching() {
-        // The Box–Muller spare must persist across sample_vector calls
-        // inside draw_offsets exactly as it does inside GaussianSampler;
-        // an odd dimension (D = 3) exercises the carry-over.
-        let mut cov = Matrix::<3>::identity();
-        cov = cov.scale(2.5);
-        let g = Gaussian::new(Vector::from([1.0, 2.0, 3.0]), cov).unwrap();
-        let mut rng_a = StdRng::seed_from_u64(5150);
-        let mut rng_b = StdRng::seed_from_u64(5150);
-        let fresh = SampleCloud::draw(&g, nz(257), &mut rng_a);
-        let offsets = SampleCloud::draw_offsets(g.cholesky(), nz(257), &mut rng_b);
-        let recentered = SampleCloud::from_offsets(g.mean(), &offsets);
+        let whole = SampleCloud::draw(g.cholesky(), nz(2_001), &mut rng_a);
+        let mut grown = SampleCloud::draw(g.cholesky(), nz(513), &mut rng_b);
+        grown.extend(g.cholesky(), 1_488, &mut rng_b);
+        assert_eq!(grown.len(), 2_001);
         for d in 0..3 {
-            for i in 0..257 {
+            for i in 0..2_001 {
                 assert_eq!(
-                    fresh.columns()[d][i].to_bits(),
-                    recentered.columns()[d][i].to_bits(),
-                    "spare carry-over diverges (d={d}, i={i})"
+                    whole.columns()[d][i].to_bits(),
+                    grown.columns()[d][i].to_bits(),
+                    "split draw diverges from one draw (d={d}, i={i})"
                 );
             }
         }
@@ -796,7 +703,7 @@ mod tests {
     fn get_roundtrips_samples() {
         let g = Gaussian::new(Vector::from([3.0, -1.0]), sigma_paper(1.0)).unwrap();
         let mut rng = StdRng::seed_from_u64(21);
-        let cloud = SampleCloud::draw(&g, nz(64), &mut rng);
+        let cloud = SampleCloud::draw(g.cholesky(), nz(64), &mut rng);
         for i in 0..64 {
             let v = cloud.get(i).unwrap();
             for d in 0..2 {
@@ -811,8 +718,7 @@ mod tests {
         let g = Gaussian::<2>::standard();
         let mut rng = StdRng::seed_from_u64(5);
         // 100 000 samples / 16 per cell = 6 250 cells → res 79 in 2-D.
-        let cloud = SampleCloud::draw(&g, nz(100_000), &mut rng);
-        let grid = CloudGrid::build(&cloud);
+        let grid = CloudGrid::draw(g.cholesky(), nz(100_000), &mut rng);
         let res = grid.resolution();
         assert_eq!(res[0], res[1]);
         assert!(res[0] * res[0] <= 6_250);
@@ -820,21 +726,32 @@ mod tests {
         assert_eq!(grid.cells(), res[0] * res[1]);
         assert_eq!(grid.len(), 100_000);
         // Tiny clouds collapse to a single cell.
-        let tiny = SampleCloud::draw(&g, nz(3), &mut rng);
-        assert_eq!(CloudGrid::build(&tiny).resolution(), [1, 1]);
+        let tiny = CloudGrid::draw(g.cholesky(), nz(3), &mut rng);
+        assert_eq!(tiny.resolution(), [1, 1]);
     }
 
     #[test]
     fn inside_cells_skip_distance_tests_on_huge_delta() {
         let g = Gaussian::<2>::standard();
         let mut rng = StdRng::seed_from_u64(11);
-        let cloud = SampleCloud::draw(&g, nz(20_000), &mut rng);
-        let grid = CloudGrid::build(&cloud);
+        let grid = CloudGrid::draw(g.cholesky(), nz(20_000), &mut rng);
         let mut stats = CloudStats::default();
         let hits = grid.count_within_stats(&Vector::ZERO, 1e6, &mut stats);
         assert_eq!(hits, 20_000);
         assert!(stats.cells_inside > 0);
         assert_eq!(stats.samples_tested, 0, "no boundary cells at δ = 10⁶");
+    }
+
+    #[test]
+    fn probability_counts_the_cloud_size_as_samples() {
+        let g = Gaussian::<2>::standard();
+        let mut rng = StdRng::seed_from_u64(12);
+        let grid = CloudGrid::draw(g.cholesky(), nz(4_000), &mut rng);
+        let mut stats = CloudStats::default();
+        for delta in [0.5, 1.0, 2.0] {
+            grid.probability_with_stats(&Vector::ZERO, delta, &mut stats);
+        }
+        assert_eq!(stats.samples, 3 * 4_000);
     }
 
     #[test]
@@ -845,16 +762,17 @@ mod tests {
         )
         .unwrap();
         let mut rng = StdRng::seed_from_u64(13);
-        let cloud = SampleCloud::draw(&g, nz(30_000), &mut rng);
+        let cloud = SampleCloud::draw(g.cholesky(), nz(30_000), &mut rng);
         let grid = CloudGrid::build(&cloud);
         for (center, delta) in [
             (Vector::from([1.0, -2.0, 0.5]), 2.0),
             (Vector::from([0.0, 0.0, 0.0]), 4.5),
             (Vector::from([8.0, 3.0, -7.0]), 6.0),
         ] {
+            let probe = center - *g.mean();
             assert_eq!(
-                grid.count_within(&center, delta),
-                cloud.count_within(&center, delta)
+                grid.count_within(&probe, delta),
+                cloud.count_within(&probe, delta)
             );
         }
     }

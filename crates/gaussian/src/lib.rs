@@ -15,16 +15,19 @@
 //!   the paper's BF U-catalog (`ucatalog_lookup(δ, θ)`, §IV-C);
 //! * [`mvn`] — the `N(q, Σ)` density of paper Eq. 1, with Mahalanobis
 //!   forms and log-space normalization;
-//! * [`sampler`] — Box–Muller standard-normal sampling and the Cholesky
-//!   affine transform for `N(q, Σ)` (our substitute for RANDLIB, §V-A);
+//! * [`sampler`] — standard-normal sampling (our substitute for RANDLIB,
+//!   §V-A): the exact ziggurat behind every Monte-Carlo draw, with the
+//!   Cholesky affine transform for `N(q, Σ)`, and the frozen Box–Muller
+//!   stream that generates the workload data;
 //! * [`integrate`] — the qualification-probability integrators: the
 //!   paper's importance-sampling Monte Carlo, a uniform-ball Monte Carlo
 //!   comparator, a 2-D Gauss–Legendre quadrature reference, and the
 //!   analytic 1-D case;
-//! * [`cloud`] — the shared-sample Phase-3 engine: one SoA sample batch
-//!   per query ([`SampleCloud`]) plus a uniform-grid index
-//!   ([`CloudGrid`]) so each candidate's hit count only touches samples
-//!   near it. This is the default integration path in `gprq-core`.
+//! * [`cloud`] — the shared-sample Phase-3 engine: one SoA batch of
+//!   mean-free offsets per query ([`SampleCloud`]) plus a uniform-grid
+//!   index ([`CloudGrid`], drawn and built in one fused pass) so each
+//!   candidate's hit count only touches samples near it. This is the
+//!   default integration path in `gprq-core`.
 //!
 //! ```
 //! use gprq_gaussian::chi;
@@ -57,4 +60,4 @@ pub use noncentral::{
     noncentral_chi_squared_cdf,
 };
 pub use quasi::{quasi_monte_carlo_probability, Halton};
-pub use sampler::{GaussianSampler, StandardNormal};
+pub use sampler::{GaussianSampler, StandardNormal, Ziggurat};

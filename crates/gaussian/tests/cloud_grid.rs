@@ -1,8 +1,11 @@
 //! Exact-equality and round-trip guarantees of the shared-sample
 //! Phase-3 engine: the grid index must count *precisely* the hits a
 //! linear scan of the same cloud counts (the two paths share one SoA
-//! kernel, so this is bitwise, not statistical), and the SoA layout must
-//! store the `sample_batch` draws bitwise.
+//! kernel, so this is bitwise, not statistical), the SoA layout must
+//! store the `sample_batch` draws bitwise (as offsets from the mean),
+//! and the fused `CloudGrid::draw` must equal building over a drawn
+//! cloud. Clouds live in offset space, so every probe is converted to
+//! `center − mean` exactly as the evaluators do.
 
 use gprq_gaussian::cloud::{CloudGrid, SampleCloud};
 use gprq_gaussian::{Gaussian, GaussianSampler};
@@ -32,7 +35,7 @@ fn nz(n: usize) -> NonZeroUsize {
 fn grid_matches_linear_scan_exactly() {
     let g = correlated_2d();
     let mut rng = StdRng::seed_from_u64(0xC10D);
-    let cloud = SampleCloud::draw(&g, nz(50_000), &mut rng);
+    let cloud = SampleCloud::draw(g.cholesky(), nz(50_000), &mut rng);
     let grid = CloudGrid::build(&cloud);
 
     let mut probe = StdRng::seed_from_u64(7);
@@ -62,6 +65,7 @@ fn grid_matches_linear_scan_exactly() {
                 probe.gen::<f64>() * 20.0,
             ),
         };
+        let center = center - *g.mean();
         let linear = cloud.count_within(&center, delta);
         let via_grid = grid.count_within(&center, delta);
         assert_eq!(
@@ -84,7 +88,7 @@ fn grid_matches_linear_scan_exactly_3d() {
     m[(2, 2)] = 2.5;
     let g = Gaussian::new(Vector::from([0.0, 5.0, -5.0]), m).unwrap();
     let mut rng = StdRng::seed_from_u64(99);
-    let cloud = SampleCloud::draw(&g, nz(20_000), &mut rng);
+    let cloud = SampleCloud::draw(g.cholesky(), nz(20_000), &mut rng);
     let grid = CloudGrid::build(&cloud);
     let mut probe = StdRng::seed_from_u64(3);
     for _ in 0..100 {
@@ -92,7 +96,7 @@ fn grid_matches_linear_scan_exactly_3d() {
             (probe.gen::<f64>() - 0.5) * 10.0,
             5.0 + (probe.gen::<f64>() - 0.5) * 4.0,
             -5.0 + (probe.gen::<f64>() - 0.5) * 8.0,
-        ]);
+        ]) - *g.mean();
         let delta = probe.gen::<f64>() * 5.0;
         assert_eq!(
             grid.count_within(&center, delta),
@@ -111,11 +115,11 @@ fn grid_handles_near_degenerate_axes() {
     m[(1, 1)] = 9.0;
     let g = Gaussian::new(Vector::from([1.0, 2.0]), m).unwrap();
     let mut rng = StdRng::seed_from_u64(5);
-    let cloud = SampleCloud::draw(&g, nz(4_096), &mut rng);
+    let cloud = SampleCloud::draw(g.cholesky(), nz(4_096), &mut rng);
     let grid = CloudGrid::build(&cloud);
     let mut probe = StdRng::seed_from_u64(11);
     for _ in 0..50 {
-        let center = Vector::from([1.0, 2.0 + (probe.gen::<f64>() - 0.5) * 12.0]);
+        let center = Vector::from([1.0, 2.0 + (probe.gen::<f64>() - 0.5) * 12.0]) - *g.mean();
         let delta = probe.gen::<f64>() * 6.0;
         assert_eq!(
             grid.count_within(&center, delta),
@@ -125,13 +129,14 @@ fn grid_handles_near_degenerate_axes() {
 }
 
 proptest! {
-    /// The SoA cloud stores exactly the vectors `sample_batch` produces
-    /// from the same seed — bitwise, coordinate by coordinate.
+    /// The SoA cloud stores exactly the offsets of the vectors
+    /// `sample_batch` produces from the same seed: `mean + w_i` is the
+    /// sampled vector — bitwise, coordinate by coordinate.
     #[test]
     fn soa_roundtrips_sample_batch_bitwise(seed in 0u64..1_000, n in 1usize..300) {
         let g = correlated_2d();
         let mut rng = StdRng::seed_from_u64(seed);
-        let cloud = SampleCloud::draw(&g, nz(n), &mut rng);
+        let cloud = SampleCloud::draw(g.cholesky(), nz(n), &mut rng);
 
         let mut rng = StdRng::seed_from_u64(seed);
         let mut batch = vec![Vector::<2>::ZERO; n];
@@ -139,7 +144,7 @@ proptest! {
 
         prop_assert_eq!(cloud.len(), n);
         for (i, expect) in batch.iter().enumerate() {
-            let got = cloud.get(i).expect("index in range");
+            let got = *g.mean() + cloud.get(i).expect("index in range");
             for d in 0..2 {
                 prop_assert_eq!(
                     got.as_slice()[d].to_bits(),
@@ -157,9 +162,9 @@ proptest! {
     fn extend_preserves_prefix_and_parity(seed in 0u64..500, n in 8usize..200, extra in 1usize..200) {
         let g = correlated_2d();
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut cloud = SampleCloud::draw(&g, nz(n), &mut rng);
+        let mut cloud = SampleCloud::draw(g.cholesky(), nz(n), &mut rng);
         let before: Vec<Vector<2>> = (0..n).map(|i| cloud.get(i).expect("in range")).collect();
-        cloud.extend(&g, extra, &mut rng);
+        cloud.extend(g.cholesky(), extra, &mut rng);
         prop_assert_eq!(cloud.len(), n + extra);
         for (i, b) in before.iter().enumerate() {
             let a = cloud.get(i).expect("in range");
@@ -167,7 +172,7 @@ proptest! {
             prop_assert_eq!(a.as_slice()[1].to_bits(), b.as_slice()[1].to_bits());
         }
         let grid = CloudGrid::build(&cloud);
-        let center = Vector::from([100.0, -50.0]);
+        let center = Vector::from([100.0, -50.0]) - *g.mean();
         prop_assert_eq!(
             grid.count_within(&center, 15.0),
             cloud.count_within(&center, 15.0)
@@ -175,37 +180,52 @@ proptest! {
     }
 }
 
-/// `CloudGrid::build_recentered` folds the mean-add into the build
-/// passes; it must agree with materializing the re-centered cloud and
-/// building from it — same structure, and bitwise-equal probabilities
-/// at every probe.
+/// `CloudGrid::draw` fuses the draw with the index build; it must agree
+/// with drawing a `SampleCloud` from the same seed and building over it
+/// — same structure, and bitwise-equal probabilities at every probe, in
+/// 2-D and in 9-D.
 #[test]
-fn build_recentered_matches_materialized_cloud_bitwise() {
+fn fused_draw_matches_build_over_drawn_cloud_bitwise() {
     let g = correlated_2d();
-    let mut rng = StdRng::seed_from_u64(0x0FF5);
-    let offsets = SampleCloud::draw_offsets(g.cholesky(), nz(20_000), &mut rng);
+    let n = nz(20_000);
+    let fused = CloudGrid::draw(g.cholesky(), n, &mut StdRng::seed_from_u64(0x0FF5));
+    let built = CloudGrid::build(&SampleCloud::draw(
+        g.cholesky(),
+        n,
+        &mut StdRng::seed_from_u64(0x0FF5),
+    ));
+    assert_eq!(fused.len(), built.len());
+    assert_eq!(fused.cells(), built.cells());
+    assert_eq!(fused.resolution(), built.resolution());
+    let mut probe = StdRng::seed_from_u64(99);
+    for _ in 0..200 {
+        let center = Vector::from([
+            (probe.gen::<f64>() - 0.5) * 80.0,
+            (probe.gen::<f64>() - 0.5) * 80.0,
+        ]);
+        let delta = probe.gen::<f64>() * 25.0;
+        assert_eq!(
+            fused.probability(&center, delta).to_bits(),
+            built.probability(&center, delta).to_bits(),
+            "fused build diverged at {center:?}, δ = {delta}"
+        );
+    }
 
-    for (mx, my) in [(100.0, -50.0), (0.0, 0.0), (-3.5e3, 1.0e-3)] {
-        let mean = Vector::from([mx, my]);
-        let materialized = CloudGrid::build(&SampleCloud::from_offsets(&mean, &offsets));
-        let fused = CloudGrid::build_recentered(&mean, &offsets);
-
-        assert_eq!(fused.len(), materialized.len());
-        assert_eq!(fused.cells(), materialized.cells());
-        assert_eq!(fused.resolution(), materialized.resolution());
-
-        let mut probe = StdRng::seed_from_u64(99);
-        for _ in 0..200 {
-            let center = Vector::from([
-                mx + (probe.gen::<f64>() - 0.5) * 80.0,
-                my + (probe.gen::<f64>() - 0.5) * 80.0,
-            ]);
-            let delta = probe.gen::<f64>() * 25.0;
-            assert_eq!(
-                fused.probability(&center, delta).to_bits(),
-                materialized.probability(&center, delta).to_bits(),
-                "re-centered build diverged at {center:?}, δ = {delta}"
-            );
-        }
+    let mut m = Matrix::<9>::identity();
+    for i in 0..9 {
+        m[(i, i)] = 0.05 + 0.1 * i as f64;
+    }
+    let g9 = Gaussian::new(Vector::<9>::ZERO, m).unwrap();
+    let n9 = nz(5_000);
+    let fused = CloudGrid::draw(g9.cholesky(), n9, &mut StdRng::seed_from_u64(9));
+    let cloud = SampleCloud::draw(g9.cholesky(), n9, &mut StdRng::seed_from_u64(9));
+    let built = CloudGrid::build(&cloud);
+    assert_eq!(fused.resolution(), built.resolution());
+    for k in 0..50 {
+        let center = Vector::from_fn(|d| ((k * 7 + d) % 11) as f64 * 0.1 - 0.5);
+        let delta = 0.3 + 0.02 * k as f64;
+        let linear = cloud.count_within(&center, delta);
+        assert_eq!(fused.count_within(&center, delta), linear, "9-D probe {k}");
+        assert_eq!(built.count_within(&center, delta), linear, "9-D probe {k}");
     }
 }

@@ -1,6 +1,6 @@
 //! Statistical validation of the sampling and integration machinery:
-//! goodness-of-fit of the Box–Muller generator, distributional checks of
-//! the Cholesky-transformed sampler, and unbiasedness / convergence-rate
+//! goodness-of-fit of the Box–Muller data-generation stream,
+//! distributional checks of the Cholesky-transformed (ziggurat) sampler, and unbiasedness / convergence-rate
 //! checks of the Monte-Carlo integrators.
 //!
 //! All tests are seeded and use generous significance margins so they are

@@ -154,6 +154,38 @@ mod tests {
     }
 
     #[test]
+    fn paper_scale_stream_is_frozen() {
+        // The benchmark's 9-D data set is `corel_like_9d(COREL_SIZE, 42)`,
+        // drawn from the frozen `StandardNormal` stream; this checksum
+        // catches any drift in that stream or in this generator. The
+        // tolerances only absorb last-ulp libm differences across
+        // platforms.
+        let pts = corel_like_9d(crate::COREL_SIZE, 42);
+        assert_eq!(pts.len(), 68_040);
+        let (mut sum, mut sum_sq) = (0.0f64, 0.0f64);
+        for p in &pts {
+            for &x in p.as_slice() {
+                sum += x;
+                sum_sq += x * x;
+            }
+        }
+        let close = |got: f64, want: f64| (got - want).abs() <= 1e-9 * want.abs();
+        assert!(close(sum, -172_616.363_408_791_75), "sum {sum}");
+        assert!(
+            close(sum_sq, 7_683_346.982_634_104),
+            "sum of squares {sum_sq}"
+        );
+        let first = [
+            2.664_889_657_675_751_3,
+            2.321_487_321_714_255_5,
+            -6.530_852_274_566_267,
+        ];
+        for (d, &want) in first.iter().enumerate() {
+            assert!(close(pts[0][d], want), "first point, axis {d}");
+        }
+    }
+
+    #[test]
     fn clustered_not_uniform() {
         // Nearest-neighbor distances in clustered data are much smaller
         // than in a uniform scatter of the same bounding volume.
