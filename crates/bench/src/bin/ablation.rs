@@ -12,8 +12,7 @@
 //! 5. the generalized (any-dimension) fringe filter vs paper-faithful
 //!    (2-D only) in the 9-D workload;
 //! 6. quasi-Monte-Carlo (Halton) vs pseudo-random importance sampling:
-//!    convergence at equal sample budgets;
-//! 7. uniform-grid Phase 1 vs the R*-tree on the 2-D road data.
+//!    convergence at equal sample budgets.
 //!
 //! ```text
 //! cargo run -p gprq-bench --release --bin ablation [--n 20000]
@@ -21,7 +20,7 @@
 
 use gprq_bench::{corel_tree, road_tree, Args};
 use gprq_core::{
-    BfBounds, BfCatalog, FringeMode, PrqExecutor, PrqQuery, RrCatalog, SharedSamplesEvaluator,
+    BfBounds, BfCatalog, FringeMode, MonteCarloEvaluator, PrqExecutor, PrqQuery, RrCatalog,
     StrategySet, ThetaRegion,
 };
 use gprq_gaussian::integrate::{
@@ -30,7 +29,6 @@ use gprq_gaussian::integrate::{
 use gprq_gaussian::quasi::quasi_monte_carlo_probability;
 use gprq_gaussian::Gaussian;
 use gprq_linalg::{Matrix, Vector};
-use gprq_rtree::UniformGrid;
 use gprq_workloads::{eq34_covariance, pseudo_feedback_covariance, random_query_centers};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -70,7 +68,7 @@ fn main() {
     }
     let cat_us = t.elapsed().as_secs_f64() * 1e6 / reps as f64;
     println!("per-query radius derivation: exact {exact_us:.1} µs, catalog {cat_us:.1} µs");
-    let mut eval = SharedSamplesEvaluator::<2>::new(100_000, seed);
+    let mut eval = MonteCarloEvaluator::<2>::new(100_000, seed);
     let exact_run = PrqExecutor::new(StrategySet::ALL)
         .execute(&tree, &query, &mut eval)
         .unwrap();
@@ -171,7 +169,7 @@ fn main() {
         };
         let t = Instant::now();
         let stats = if shared {
-            let mut eval = SharedSamplesEvaluator::<2>::new(100_000, seed);
+            let mut eval = MonteCarloEvaluator::<2>::new(100_000, seed);
             PrqExecutor::new(StrategySet::ALL)
                 .execute(&tree, &query, &mut eval)
                 .unwrap()
@@ -225,7 +223,7 @@ fn main() {
         ("paper (off in 9-D)", FringeMode::PaperFaithful),
         ("generalized (on)", FringeMode::AllDimensions),
     ] {
-        let mut eval = SharedSamplesEvaluator::<9>::new(50_000, seed);
+        let mut eval = MonteCarloEvaluator::<9>::new(50_000, seed);
         let outcome = PrqExecutor::new(StrategySet::RR)
             .with_fringe_mode(mode)
             .execute(&tree9, &q9, &mut eval)
@@ -263,26 +261,4 @@ fn main() {
             qmc_err
         );
     }
-
-    // ------------------------------------------------------------------
-    println!("\n=== Ablation 7: uniform-grid Phase 1 vs R*-tree ===");
-    let grid = UniformGrid::build(tree.iter().map(|(p, d)| (*p, *d)).collect(), 64);
-    let t = Instant::now();
-    let mut gstats = gprq_rtree::SearchStats::default();
-    let ghits = grid.query_rect_with_stats(&rect, &mut gstats);
-    let grid_time = t.elapsed();
-    println!(
-        "grid(64²):  {} hits, {} cells visited, {:.1} µs",
-        ghits.len(),
-        gstats.nodes_visited,
-        grid_time.as_secs_f64() * 1e6
-    );
-    println!(
-        "R*-tree:    {} hits, {} node accesses, {:.1} µs",
-        hits.len(),
-        stats.nodes_visited,
-        tree_time.as_secs_f64() * 1e6
-    );
-    println!("(In 9-D a 64-per-axis grid would need 64⁹ ≈ 1.8·10¹⁶ cells — the");
-    println!("R-tree family is the only structure of the two that scales in d.)");
 }

@@ -19,7 +19,8 @@ use std::io::Write as _;
 
 use gprq_bench::{road_tree, Args};
 use gprq_core::{
-    EvalBudget, QueryStats, ResilientExecutor, SequentialMonteCarloEvaluator, StrategySet,
+    EvalBudget, PrqExecutor, QueryStats, ResilientExecutor, SequentialMonteCarloEvaluator,
+    StrategySet,
 };
 use gprq_workloads::{eq34_covariance, random_query_centers};
 
@@ -53,7 +54,8 @@ fn main() {
         for (t, (_, center)) in centers.iter().enumerate() {
             let mut eval = SequentialMonteCarloEvaluator::with_defaults(seed + t as u64)
                 .with_early_termination(early);
-            let mut exec = ResilientExecutor::new(StrategySet::ALL).with_budget(budget);
+            let mut exec =
+                ResilientExecutor::new(PrqExecutor::new(StrategySet::ALL)).with_budget(budget);
             let outcome = exec
                 .execute(&tree, *center, sigma, delta, theta, &mut eval)
                 .expect("seed workload executes");

@@ -11,7 +11,7 @@
 
 use gprq_bench::{road_tree, row, Args};
 use gprq_core::cost::{expected_integrations, region_volumes, DensityEstimate};
-use gprq_core::{PrqExecutor, PrqQuery, SharedSamplesEvaluator, StrategySet};
+use gprq_core::{MonteCarloEvaluator, PrqExecutor, PrqQuery, StrategySet};
 use gprq_workloads::{eq34_covariance, random_query_centers};
 
 fn main() {
@@ -56,7 +56,7 @@ fn main() {
             let volumes = region_volumes(&query, seed + t as u64).expect("θ < 1/2");
             predicted += expected_integrations(&volumes, &density, StrategySet::ALL);
 
-            let mut eval = SharedSamplesEvaluator::<2>::new(samples, seed + t as u64);
+            let mut eval = MonteCarloEvaluator::<2>::new(samples, seed + t as u64);
             let outcome = PrqExecutor::new(StrategySet::ALL)
                 .execute(&tree, &query, &mut eval)
                 .expect("executes");

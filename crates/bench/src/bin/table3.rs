@@ -7,9 +7,7 @@
 //! ```
 
 use gprq_bench::{corel_tree, row, strategy_header, Args};
-use gprq_core::{
-    OrFilter, PrqExecutor, PrqQuery, SharedSamplesEvaluator, StrategySet, ThetaRegion,
-};
+use gprq_core::{MonteCarloEvaluator, OrFilter, PrqExecutor, PrqQuery, StrategySet, ThetaRegion};
 use gprq_gaussian::chi::chi_inverse;
 use gprq_linalg::Vector;
 use gprq_workloads::pseudo_feedback_covariance;
@@ -57,7 +55,7 @@ fn main() {
         let mut total = 0usize;
         let mut answers = 0usize;
         for (t, query) in queries.iter().enumerate() {
-            let mut eval = SharedSamplesEvaluator::<9>::new(samples, seed + t as u64);
+            let mut eval = MonteCarloEvaluator::<9>::new(samples, seed + t as u64);
             let outcome = PrqExecutor::new(*set)
                 .execute(&tree, query, &mut eval)
                 .expect("executes");
@@ -93,7 +91,7 @@ fn main() {
         or_in_region_total += tree.iter().filter(|(p, _)| or.passes(p)).count();
         // Qualification probability of the query center itself
         // (paper: 70.0% on average).
-        let mut eval = SharedSamplesEvaluator::<9>::new(samples, seed + 1000 + t as u64);
+        let mut eval = MonteCarloEvaluator::<9>::new(samples, seed + 1000 + t as u64);
         use gprq_core::ProbabilityEvaluator;
         eval.begin_query(query.gaussian());
         center_prob_total += eval.probability(query.gaussian(), query.center(), delta);

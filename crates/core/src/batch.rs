@@ -64,7 +64,7 @@
 use crate::error::PrqError;
 use crate::executor::{PrqExecutor, QueryStats};
 use crate::ext::parallel::{BatchPhase3Item, ParallelIntegrator};
-use crate::metrics::Phase;
+use crate::metrics::{Phase, PipelineMetrics};
 use crate::query::PrqQuery;
 use gprq_gaussian::cloud::{CloudGrid, CloudStats};
 use gprq_gaussian::Gaussian;
@@ -255,7 +255,7 @@ pub struct BatchOutcome<'t, const D: usize, T> {
 /// A batch execution engine: plans N queries and runs them as one unit
 /// over a [`Phase1Index`], a [`ParallelIntegrator`], and a
 /// [`SigmaFactorCache`], flushing per-query [`QueryStats`] into the
-/// executor's [`PipelineMetrics`](crate::PipelineMetrics) exactly once
+/// executor's [`PipelineMetrics`] exactly once
 /// each (plus one `record_batch` per call).
 ///
 /// ```
@@ -487,29 +487,32 @@ impl<'c, const D: usize> QueryBatch<'c, D> {
         let count = |after: u64, before: u64| usize::try_from(after - before).unwrap_or(usize::MAX);
         let batch_hits = count(self.cache.hits(), hits_before);
         let batch_misses = count(self.cache.misses(), misses_before);
-        // Probes run in offset space: `candidate − mean`, exactly as the
-        // solo evaluator forms them.
-        let centers: Vec<Vec<Vector<D>>> = live
+        let fused = self.probe(queries, &work, &live, &grids, metrics);
+        drop(grids);
+
+        // --- Recovery: aborted queries re-run on a fresh grid. ---------
+        // Same seed, so the same grid as the cached one; the worker
+        // pool's probes are pure, so the same bits as the fused pass.
+        let recovering: Vec<usize> = (0..n).filter(|&q| aborted[q]).collect();
+        let fresh: Vec<Arc<CloudGrid<D>>> = recovering
             .iter()
             .map(|&q| {
-                let mean = *queries[q].gaussian().mean();
-                work[q].iter().map(|&(p, _)| *p - mean).collect()
+                if let Some(m) = metrics {
+                    m.record_batch_abort();
+                }
+                let gaussian = queries[q].gaussian();
+                let mut rng = StdRng::seed_from_u64(cloud_seed(self.integrator.seed, gaussian));
+                Arc::new(CloudGrid::draw(gaussian.cholesky(), budget, &mut rng))
             })
             .collect();
-        let items: Vec<BatchPhase3Item<'_, D>> = live
-            .iter()
-            .enumerate()
-            .map(|(slot, &q)| BatchPhase3Item {
-                grid: &grids[slot],
-                candidates: &centers[slot],
-                delta: queries[q].delta(),
-            })
-            .collect();
-        let (probs, cloud_stats) = self.integrator.batch_probabilities(&items, metrics);
-        drop(items);
+        let recovered = self.probe(queries, &work, &recovering, &fresh, metrics);
 
         let mut probabilities: Vec<Vec<f64>> = (0..n).map(|_| Vec::new()).collect();
-        for (&q, (pvec, mut cs)) in live.iter().zip(probs.into_iter().zip(cloud_stats)) {
+        let runs = live
+            .iter()
+            .zip(fused)
+            .chain(recovering.iter().zip(recovered));
+        for (&q, (pvec, mut cs)) in runs {
             stats[q].integrations = work[q].len();
             // The solo evaluator counts its one grid build in
             // `begin_query`; attribute the (possibly cached) grid here.
@@ -522,32 +525,6 @@ impl<'c, const D: usize> QueryBatch<'c, D> {
                 }
             }
             probabilities[q] = pvec;
-        }
-        drop(grids);
-
-        // --- Recovery: solo Phase-3 re-run for aborted queries. --------
-        for q in (0..n).filter(|&q| aborted[q]) {
-            if let Some(m) = metrics {
-                m.record_batch_abort();
-            }
-            let gaussian = queries[q].gaussian();
-            let mut rng = StdRng::seed_from_u64(cloud_seed(self.integrator.seed, gaussian));
-            let grid = CloudGrid::draw(gaussian.cholesky(), budget, &mut rng);
-            let mut cs = CloudStats {
-                builds: 1,
-                ..CloudStats::default()
-            };
-            for &(point, data) in &work[q] {
-                stats[q].integrations += 1;
-                let offset = *point - *gaussian.mean();
-                let p = grid.probability_with_stats(&offset, queries[q].delta(), &mut cs);
-                probabilities[q].push(p);
-                if p >= queries[q].theta() {
-                    answers[q].push((point, data));
-                }
-            }
-            stats[q].absorb_cloud(&cs);
-            stats[q].phase3_samples = cs.samples;
         }
         let phase3_each = share(t2.elapsed());
         for st in &mut stats {
@@ -582,6 +559,41 @@ impl<'c, const D: usize> QueryBatch<'c, D> {
             m.record_batch(n, batch_hits, batch_misses);
         }
         Ok(outcomes)
+    }
+
+    /// Probes the grid of each query in `listed` (`grids[i]` serves
+    /// `listed[i]`) with that query's work list, fanned out over the
+    /// worker pool in one [`ParallelIntegrator::batch_probabilities`]
+    /// call: per listed query, the probabilities in work-list order and
+    /// the probe statistics.
+    fn probe<T>(
+        &self,
+        queries: &[PrqQuery<D>],
+        work: &[Vec<(&Vector<D>, &T)>],
+        listed: &[usize],
+        grids: &[Arc<CloudGrid<D>>],
+        metrics: Option<&PipelineMetrics>,
+    ) -> impl Iterator<Item = (Vec<f64>, CloudStats)> {
+        // Probes run in offset space: `candidate − mean`, exactly as the
+        // solo evaluator forms them.
+        let centers: Vec<Vec<Vector<D>>> = listed
+            .iter()
+            .map(|&q| {
+                let mean = *queries[q].gaussian().mean();
+                work[q].iter().map(|&(p, _)| *p - mean).collect()
+            })
+            .collect();
+        let items: Vec<BatchPhase3Item<'_, D>> = listed
+            .iter()
+            .zip(grids.iter().zip(&centers))
+            .map(|(&q, (grid, candidates))| BatchPhase3Item {
+                grid,
+                candidates,
+                delta: queries[q].delta(),
+            })
+            .collect();
+        let (probs, stats) = self.integrator.batch_probabilities(&items, metrics);
+        probs.into_iter().zip(stats)
     }
 }
 

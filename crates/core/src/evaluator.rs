@@ -35,6 +35,43 @@ pub trait ProbabilityEvaluator<const D: usize> {
     /// Estimates `Pr(‖x − center‖ ≤ delta)` for `x ~ gaussian`.
     fn probability(&mut self, gaussian: &Gaussian<D>, center: &Vector<D>, delta: f64) -> f64;
 
+    /// Classifies `Pr(‖x − center‖ ≤ delta)` against `θ` using at most
+    /// `max_samples` draws — the one call Phase 3 makes per object.
+    ///
+    /// The default computes [`ProbabilityEvaluator::probability`] and
+    /// compares it with `θ` exactly, so a deterministic or fixed-budget
+    /// evaluator never answers [`Verdict::Uncertain`]. It ignores the
+    /// grant and reports zero samples; a cloud evaluator reports its
+    /// samples through [`ProbabilityEvaluator::take_cloud_stats`].
+    /// Sequential evaluators override it to stop as soon as the answer
+    /// is settled (see [`SequentialMonteCarloEvaluator`]).
+    ///
+    /// # Errors
+    ///
+    /// * [`EvalFailure::NoBudget`] when a sampling evaluator is granted
+    ///   zero samples,
+    /// * [`EvalFailure::Injected`] when the evaluation aborts.
+    fn evaluate(
+        &mut self,
+        gaussian: &Gaussian<D>,
+        center: &Vector<D>,
+        delta: f64,
+        theta: f64,
+        _max_samples: usize,
+    ) -> Result<EvalReport, EvalFailure> {
+        let p = self.probability(gaussian, center, delta);
+        Ok(EvalReport {
+            estimate: p,
+            samples: 0,
+            verdict: if p >= theta {
+                Verdict::Accept
+            } else {
+                Verdict::Reject
+            },
+            early: false,
+        })
+    }
+
     /// Drains the accumulated shared-cloud statistics (grid builds, cells
     /// scanned/inside, samples distance-tested), resetting them to zero.
     /// Evaluators without a cloud return the zero default.
@@ -121,11 +158,6 @@ impl<const D: usize> ProbabilityEvaluator<D> for MonteCarloEvaluator<D> {
     }
 }
 
-/// Former name of the shared-sample evaluator. The shared-cloud design is
-/// the default now, so the separate type is gone; the alias keeps old
-/// call sites compiling. Prefer [`MonteCarloEvaluator`] in new code.
-pub type SharedSamplesEvaluator<const D: usize> = MonteCarloEvaluator<D>;
-
 /// Deterministic quasi-Monte-Carlo evaluator (Halton sequence warped to
 /// the query Gaussian).
 ///
@@ -180,7 +212,7 @@ impl ProbabilityEvaluator<2> for Quadrature2dEvaluator {
     }
 }
 
-/// Outcome of one budgeted per-object evaluation.
+/// Outcome of one per-object evaluation ([`ProbabilityEvaluator::evaluate`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvalReport {
     /// The probability estimate at the point evaluation stopped.
@@ -195,7 +227,7 @@ pub struct EvalReport {
     pub early: bool,
 }
 
-/// Why a budgeted evaluation produced no usable estimate at all (as
+/// Why an evaluation produced no usable estimate at all (as
 /// opposed to an [`Verdict::Uncertain`] estimate, which is a *result*).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvalFailure {
@@ -218,42 +250,6 @@ impl fmt::Display for EvalFailure {
 
 impl std::error::Error for EvalFailure {}
 
-/// A Phase-3 evaluator that works under an explicit per-object sample
-/// budget and classifies against `θ` itself, so it can stop as soon as
-/// the answer is statistically settled.
-///
-/// This is the resilient counterpart of [`ProbabilityEvaluator`]: where
-/// that trait returns an unlabeled point estimate after a fixed budget,
-/// this one returns an [`EvalReport`] whose verdict is explicit about
-/// confidence — including [`Verdict::Uncertain`] when the budget ran
-/// out with the confidence interval still straddling `θ`.
-pub trait BudgetedEvaluator<const D: usize> {
-    /// Called once before a query's Phase 3 with the query distribution.
-    fn begin_query(&mut self, _gaussian: &Gaussian<D>) {}
-
-    /// Evaluates `Pr(‖x − center‖ ≤ delta) vs θ` using at most
-    /// `max_samples` draws.
-    ///
-    /// # Errors
-    ///
-    /// * [`EvalFailure::NoBudget`] when `max_samples == 0`,
-    /// * [`EvalFailure::Injected`] when a fault plan aborts the call.
-    fn evaluate(
-        &mut self,
-        gaussian: &Gaussian<D>,
-        center: &Vector<D>,
-        delta: f64,
-        theta: f64,
-        max_samples: usize,
-    ) -> Result<EvalReport, EvalFailure>;
-
-    /// Drains the accumulated shared-cloud statistics, resetting them to
-    /// zero. Evaluators without a cloud return the zero default.
-    fn take_cloud_stats(&mut self) -> CloudStats {
-        CloudStats::default()
-    }
-}
-
 /// Sequential Monte Carlo with Wilson-interval early termination over the
 /// query's shared sample cloud: hit counts accumulate over *prefixes* of
 /// the cloud in blocks, and evaluation stops as soon as the confidence
@@ -270,7 +266,7 @@ pub trait BudgetedEvaluator<const D: usize> {
 /// never forces the remaining 99 488 to be drawn, and a later candidate
 /// that needs more reuses the existing prefix bitwise (see
 /// `SampleCloud::extend`). As with [`MonteCarloEvaluator`], call
-/// [`BudgetedEvaluator::begin_query`] between distributions.
+/// [`ProbabilityEvaluator::begin_query`] between distributions.
 #[derive(Debug, Clone)]
 pub struct SequentialMonteCarloEvaluator<const D: usize> {
     block: usize,
@@ -322,11 +318,56 @@ impl<const D: usize> SequentialMonteCarloEvaluator<D> {
     pub fn early_termination(&self) -> bool {
         self.early_termination
     }
+
+    /// Counts hits over cloud prefixes of `block` samples, up to
+    /// `max_samples` (`> 0`), growing the cloud as needed; stops after
+    /// the first block at which `settled` holds.
+    fn block_estimate(
+        &mut self,
+        gaussian: &Gaussian<D>,
+        center: &Vector<D>,
+        delta: f64,
+        max_samples: usize,
+        settled: impl Fn(&RunningEstimate) -> bool,
+    ) -> RunningEstimate {
+        let block = self.block;
+        let rng = &mut self.rng;
+        if self.cloud.is_none() {
+            self.stats.builds += 1;
+        }
+        let chol = gaussian.cholesky();
+        let cloud = self
+            .cloud
+            .get_or_insert_with(|| SampleCloud::draw(chol, nonzero(block.min(max_samples)), rng));
+        let probe = *center - *gaussian.mean();
+        let mut est = RunningEstimate::default();
+        while est.n < max_samples {
+            let take = block.min(max_samples - est.n);
+            let need = est.n + take;
+            if cloud.len() < need {
+                cloud.extend(chol, need - cloud.len(), rng);
+            }
+            est.hits += cloud.count_in_range(&probe, delta, est.n, need);
+            est.n = need;
+            self.stats.samples_tested += take;
+            if settled(&est) {
+                break;
+            }
+        }
+        est
+    }
 }
 
-impl<const D: usize> BudgetedEvaluator<D> for SequentialMonteCarloEvaluator<D> {
+impl<const D: usize> ProbabilityEvaluator<D> for SequentialMonteCarloEvaluator<D> {
     fn begin_query(&mut self, _gaussian: &Gaussian<D>) {
         self.cloud = None;
+    }
+
+    /// The fixed-budget estimate over the first [`PAPER_MC_SAMPLES`]
+    /// cloud samples, with no early exit.
+    fn probability(&mut self, gaussian: &Gaussian<D>, center: &Vector<D>, delta: f64) -> f64 {
+        self.block_estimate(gaussian, center, delta, PAPER_MC_SAMPLES, |_| false)
+            .estimate()
     }
 
     fn evaluate(
@@ -340,120 +381,34 @@ impl<const D: usize> BudgetedEvaluator<D> for SequentialMonteCarloEvaluator<D> {
         if max_samples == 0 {
             return Err(EvalFailure::NoBudget);
         }
-        let block = self.block;
-        let rng = &mut self.rng;
-        if self.cloud.is_none() {
-            self.stats.builds += 1;
-        }
-        let chol = gaussian.cholesky();
-        let cloud = self
-            .cloud
-            .get_or_insert_with(|| SampleCloud::draw(chol, nonzero(block.min(max_samples)), rng));
-        let probe = *center - *gaussian.mean();
-        let mut est = RunningEstimate::default();
-        loop {
-            let remaining = max_samples - est.n;
-            if remaining == 0 {
-                break;
+        let z = self.z;
+        let classify = |est: &RunningEstimate| {
+            let (lo, hi) = est.wilson_bounds(z);
+            if lo >= theta {
+                Verdict::Accept
+            } else if hi < theta {
+                Verdict::Reject
+            } else {
+                Verdict::Uncertain
             }
-            let take = block.min(remaining);
-            let need = est.n + take;
-            if cloud.len() < need {
-                cloud.extend(chol, need - cloud.len(), rng);
-            }
-            est.hits += cloud.count_in_range(&probe, delta, est.n, need);
-            est.n = need;
-            self.stats.samples_tested += take;
-            if self.early_termination {
-                let (lo, hi) = est.wilson_bounds(self.z);
-                if lo >= theta {
-                    return Ok(EvalReport {
-                        estimate: est.estimate(),
-                        samples: est.n,
-                        verdict: Verdict::Accept,
-                        early: est.n < max_samples,
-                    });
-                }
-                if hi < theta {
-                    return Ok(EvalReport {
-                        estimate: est.estimate(),
-                        samples: est.n,
-                        verdict: Verdict::Reject,
-                        early: est.n < max_samples,
-                    });
-                }
-            }
-        }
-        // Budget exhausted: check the interval once (for the baseline
-        // mode this is the only check) and label honestly.
-        let (lo, hi) = est.wilson_bounds(self.z);
-        let verdict = if lo >= theta {
-            Verdict::Accept
-        } else if hi < theta {
-            Verdict::Reject
-        } else {
-            Verdict::Uncertain
         };
+        let early_termination = self.early_termination;
+        let est = self.block_estimate(gaussian, center, delta, max_samples, |est| {
+            early_termination && classify(est) != Verdict::Uncertain
+        });
+        // With the budget spent the interval is checked once more (for
+        // the baseline mode this is the only check) and labeled
+        // honestly: a straddle is `Uncertain`.
         Ok(EvalReport {
             estimate: est.estimate(),
             samples: est.n,
-            verdict,
-            early: false,
+            verdict: classify(&est),
+            early: est.n < max_samples,
         })
     }
 
     fn take_cloud_stats(&mut self) -> CloudStats {
         std::mem::take(&mut self.stats)
-    }
-}
-
-/// Adapts any deterministic [`ProbabilityEvaluator`] to the budgeted
-/// interface: the exact probability is computed (ignoring the sample
-/// budget), the verdict is the exact comparison against `θ`, and the
-/// reported sample count is zero.
-///
-/// Used by the chaos suite so fallback-path answers can be compared
-/// bit-for-bit against the naive oracle.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DeterministicBudgeted<E> {
-    inner: E,
-}
-
-impl<E> DeterministicBudgeted<E> {
-    /// Wraps a deterministic evaluator.
-    pub fn new(inner: E) -> Self {
-        DeterministicBudgeted { inner }
-    }
-}
-
-impl<const D: usize, E: ProbabilityEvaluator<D>> BudgetedEvaluator<D> for DeterministicBudgeted<E> {
-    fn begin_query(&mut self, gaussian: &Gaussian<D>) {
-        self.inner.begin_query(gaussian);
-    }
-
-    fn evaluate(
-        &mut self,
-        gaussian: &Gaussian<D>,
-        center: &Vector<D>,
-        delta: f64,
-        theta: f64,
-        _max_samples: usize,
-    ) -> Result<EvalReport, EvalFailure> {
-        let p = self.inner.probability(gaussian, center, delta);
-        Ok(EvalReport {
-            estimate: p,
-            samples: 0,
-            verdict: if p >= theta {
-                Verdict::Accept
-            } else {
-                Verdict::Reject
-            },
-            early: false,
-        })
-    }
-
-    fn take_cloud_stats(&mut self) -> CloudStats {
-        self.inner.take_cloud_stats()
     }
 }
 
@@ -483,15 +438,15 @@ mod tests {
         ProbabilityEvaluator::<2>::begin_query(&mut mc, &g);
         assert!((mc.probability(&g, &center, delta) - oracle).abs() < 0.006);
 
-        let mut shared = SharedSamplesEvaluator::<2>::new(200_000, 9);
-        shared.begin_query(&g);
-        assert!((shared.probability(&g, &center, delta) - oracle).abs() < 0.006);
+        let mut other_seed = MonteCarloEvaluator::<2>::new(200_000, 9);
+        other_seed.begin_query(&g);
+        assert!((other_seed.probability(&g, &center, delta) - oracle).abs() < 0.006);
     }
 
     #[test]
     fn shared_samples_work_without_begin_query() {
         let g = gaussian();
-        let mut shared = SharedSamplesEvaluator::<2>::new(50_000, 3);
+        let mut shared = MonteCarloEvaluator::<2>::new(50_000, 3);
         let p = shared.probability(&g, g.mean(), 10.0);
         assert!(p > 0.0 && p < 1.0);
     }
@@ -500,7 +455,7 @@ mod tests {
     fn shared_samples_rebuild_per_query() {
         let g1 = gaussian();
         let g2 = Gaussian::<2>::standard();
-        let mut shared = SharedSamplesEvaluator::<2>::new(100_000, 3);
+        let mut shared = MonteCarloEvaluator::<2>::new(100_000, 3);
         shared.begin_query(&g1);
         let _ = shared.probability(&g1, g1.mean(), 10.0);
         // New query with a completely different distribution.
@@ -551,14 +506,15 @@ mod tests {
         let mut eval = SequentialMonteCarloEvaluator::with_defaults(17);
         // Ball around the mean with generous radius: p ≈ 1 ≫ θ = 0.01.
         let accept =
-            BudgetedEvaluator::<2>::evaluate(&mut eval, &g, g.mean(), 60.0, 0.01, 100_000).unwrap();
+            ProbabilityEvaluator::<2>::evaluate(&mut eval, &g, g.mean(), 60.0, 0.01, 100_000)
+                .unwrap();
         assert_eq!(accept.verdict, Verdict::Accept);
         assert!(accept.early, "clear accept should stop early");
         assert!(accept.samples < 10_000, "spent {}", accept.samples);
         // Far-away center: p ≈ 0 ≪ θ.
         let far = Vector::from([10_000.0, 10_000.0]);
         let reject =
-            BudgetedEvaluator::<2>::evaluate(&mut eval, &g, &far, 1.0, 0.01, 100_000).unwrap();
+            ProbabilityEvaluator::<2>::evaluate(&mut eval, &g, &far, 1.0, 0.01, 100_000).unwrap();
         assert_eq!(reject.verdict, Verdict::Reject);
         assert!(reject.early);
         assert!(reject.samples < 10_000);
@@ -570,8 +526,8 @@ mod tests {
         let mut eval =
             SequentialMonteCarloEvaluator::with_defaults(17).with_early_termination(false);
         assert!(!eval.early_termination());
-        let r =
-            BudgetedEvaluator::<2>::evaluate(&mut eval, &g, g.mean(), 60.0, 0.01, 20_000).unwrap();
+        let r = ProbabilityEvaluator::<2>::evaluate(&mut eval, &g, g.mean(), 60.0, 0.01, 20_000)
+            .unwrap();
         assert_eq!(r.samples, 20_000);
         assert!(!r.early);
         assert_eq!(r.verdict, Verdict::Accept);
@@ -586,8 +542,8 @@ mod tests {
         // θ exactly at the true probability: the interval can never
         // clear it, so a small budget must end Uncertain.
         let mut eval = SequentialMonteCarloEvaluator::with_defaults(23);
-        let r =
-            BudgetedEvaluator::<2>::evaluate(&mut eval, &g, &center, 25.0, truth, 4_096).unwrap();
+        let r = ProbabilityEvaluator::<2>::evaluate(&mut eval, &g, &center, 25.0, truth, 4_096)
+            .unwrap();
         assert_eq!(r.verdict, Verdict::Uncertain);
         assert_eq!(r.samples, 4_096);
         assert!(!r.early);
@@ -603,11 +559,11 @@ mod tests {
         let mut eval =
             SequentialMonteCarloEvaluator::with_defaults(31).with_early_termination(false);
         let a =
-            BudgetedEvaluator::<2>::evaluate(&mut eval, &g, g.mean(), 20.0, 0.5, 8_192).unwrap();
+            ProbabilityEvaluator::<2>::evaluate(&mut eval, &g, g.mean(), 20.0, 0.5, 8_192).unwrap();
         let b =
-            BudgetedEvaluator::<2>::evaluate(&mut eval, &g, g.mean(), 20.0, 0.5, 8_192).unwrap();
+            ProbabilityEvaluator::<2>::evaluate(&mut eval, &g, g.mean(), 20.0, 0.5, 8_192).unwrap();
         assert_eq!(a.estimate, b.estimate);
-        let stats = BudgetedEvaluator::<2>::take_cloud_stats(&mut eval);
+        let stats = ProbabilityEvaluator::<2>::take_cloud_stats(&mut eval);
         assert_eq!(stats.builds, 1, "one cloud serves both candidates");
         assert_eq!(stats.samples_tested, 2 * 8_192);
     }
@@ -616,24 +572,41 @@ mod tests {
     fn sequential_mc_rejects_zero_budget() {
         let g = gaussian();
         let mut eval = SequentialMonteCarloEvaluator::with_defaults(1);
-        let e = BudgetedEvaluator::<2>::evaluate(&mut eval, &g, g.mean(), 1.0, 0.5, 0).unwrap_err();
+        let e =
+            ProbabilityEvaluator::<2>::evaluate(&mut eval, &g, g.mean(), 1.0, 0.5, 0).unwrap_err();
         assert_eq!(e, EvalFailure::NoBudget);
         assert!(e.to_string().contains("budget"));
     }
 
     #[test]
-    fn deterministic_budgeted_matches_oracle_verdict() {
+    fn default_evaluate_is_the_exact_threshold_test() {
         let g = gaussian();
         let center = Vector::from([15.0, 8.0]);
         let mut quad = Quadrature2dEvaluator::default();
         let truth = quad.probability(&g, &center, 25.0);
-        let mut det = DeterministicBudgeted::new(Quadrature2dEvaluator::default());
-        let r = det.evaluate(&g, &center, 25.0, truth / 2.0, 0).unwrap();
+        let r = quad.evaluate(&g, &center, 25.0, truth / 2.0, 0).unwrap();
         assert_eq!(r.verdict, Verdict::Accept);
         assert_eq!(r.samples, 0);
         assert_eq!(r.estimate, truth);
-        let r2 = det.evaluate(&g, &center, 25.0, truth * 1.5, 0).unwrap();
+        assert!(!r.early);
+        let r2 = quad.evaluate(&g, &center, 25.0, truth * 1.5, 0).unwrap();
         assert_eq!(r2.verdict, Verdict::Reject);
+    }
+
+    #[test]
+    fn sequential_mc_probability_is_the_full_paper_budget_estimate() {
+        let g = gaussian();
+        let center = Vector::from([15.0, 8.0]);
+        let mut fixed = SequentialMonteCarloEvaluator::with_defaults(41);
+        let p = fixed.probability(&g, &center, 25.0);
+        let mut baseline =
+            SequentialMonteCarloEvaluator::with_defaults(41).with_early_termination(false);
+        let r = baseline
+            .evaluate(&g, &center, 25.0, 0.5, PAPER_MC_SAMPLES)
+            .unwrap();
+        assert_eq!(p.to_bits(), r.estimate.to_bits());
+        let stats = ProbabilityEvaluator::<2>::take_cloud_stats(&mut fixed);
+        assert_eq!(stats.samples_tested, PAPER_MC_SAMPLES, "no early exit");
     }
 
     #[test]

@@ -15,9 +15,13 @@
 //! time", §V-B).
 
 use crate::error::PrqError;
-use crate::evaluator::ProbabilityEvaluator;
+use crate::evaluator::{EvalFailure, ProbabilityEvaluator};
 use crate::metrics::{Phase, PipelineMetrics};
 use crate::query::PrqQuery;
+use crate::resilience::{
+    BudgetScope, DegradationReason, ResilientOutcome, Safeguards, TerminalStrategy, UncertainCause,
+    UncertainObject, Verdict,
+};
 use crate::strategy::bf::{BfBounds, BfClass};
 use crate::strategy::or::OrFilter;
 use crate::strategy::rr::{FringeMode, RrFilter};
@@ -27,6 +31,9 @@ use crate::ucatalog::{BfCatalog, RrCatalog};
 use gprq_linalg::Vector;
 use gprq_rtree::{Phase1Index, Rect, SearchStats, OLC_DEPTH_BUCKETS};
 use std::time::{Duration, Instant};
+
+#[cfg(feature = "fault-inject")]
+use crate::fault::FaultSite;
 
 /// Statistics for one query execution.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -232,10 +239,10 @@ impl<'t, const D: usize, T> QueryScratch<'t, D, T> {
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct PrqExecutor<'c> {
-    strategies: StrategySet,
+    pub(crate) strategies: StrategySet,
     fringe_mode: FringeMode,
-    rr_catalog: Option<&'c RrCatalog>,
-    bf_catalog: Option<&'c BfCatalog>,
+    pub(crate) rr_catalog: Option<&'c RrCatalog>,
+    pub(crate) bf_catalog: Option<&'c BfCatalog>,
     metrics: Option<&'c PipelineMetrics>,
 }
 
@@ -337,39 +344,27 @@ impl<'c> PrqExecutor<'c> {
         let mut stats = QueryStats::default();
         let mut answers: Vec<(&'t Vector<D>, &'t T)> = Vec::new();
         self.collect_candidates(tree, query, scratch, &mut stats, &mut answers)?;
-
-        // --- Phase 3: probability computation. -------------------------
-        let span3 = self.metrics.map(|m| m.phase_span(Phase::Integrate));
-        let t2 = Instant::now();
-        evaluator.begin_query(query.gaussian());
-        for &(point, data) in scratch.to_integrate.iter() {
-            stats.integrations += 1;
-            let p = evaluator.probability(query.gaussian(), point, query.delta());
-            if p >= query.theta() {
-                answers.push((point, data));
-            }
-        }
-        stats.phase3_time = t2.elapsed();
-        let cloud = evaluator.take_cloud_stats();
-        stats.absorb_cloud(&cloud);
-        stats.phase3_samples = cloud.samples;
-        stats.answers = answers.len();
-        if let Some(span) = span3 {
-            span.finish();
-        }
-        if let Some(metrics) = self.metrics {
-            metrics.record_query(&stats);
-            // Every probability of one query probes the same cloud, so
-            // the samples split evenly across the integrated objects.
-            let per_object = cloud.samples.checked_div(stats.integrations).unwrap_or(0);
-            metrics.record_phase3_objects(per_object, stats.integrations);
-        }
-
-        Ok(PrqOutcome { answers, stats })
+        let mut outcome = ResilientOutcome::entering_phase3(
+            TerminalStrategy::Filtered(self.strategies),
+            stats,
+            answers,
+        );
+        phase3(
+            query,
+            &scratch.to_integrate,
+            evaluator,
+            &mut Safeguards::default(),
+            self.metrics,
+            &mut outcome,
+        );
+        Ok(PrqOutcome {
+            answers: outcome.answers,
+            stats: outcome.stats,
+        })
     }
 
     /// Phases 1 and 2 (index search + filtering), shared between the
-    /// plain Phase-3 loop above and the budgeted resilient path: fills
+    /// plain path above and the resilient path: fills
     /// `scratch.to_integrate` with the Phase-3 work list, appends BF
     /// sure-accepts to `answers`, and records Phase-1/2 statistics.
     ///
@@ -469,6 +464,147 @@ impl<'c> PrqExecutor<'c> {
             region,
             bf_bounds,
         })
+    }
+}
+
+/// Phase 3 — probability computation (§III-B) — the one stage every
+/// execution path runs: integrates each object of `work` through
+/// [`ProbabilityEvaluator::evaluate`] and appends the accepted ones to
+/// `out.answers`.
+///
+/// It owns the whole stage: one `begin_query`, the candidate and
+/// total-sample caps of `safeguards.budget` (objects past a cap are
+/// reported [`UncertainCause::NotEvaluated`], never dropped), the
+/// uncertain list, the `SampleStarvation` and `Evaluator` fault sites,
+/// one `take_cloud_stats` flush, the `phase3_samples` count, and the
+/// per-query metrics writes (`record_query`, the per-object sample
+/// histogram, `record_report`).
+///
+/// Samples reach the count by one of two routes: per object through
+/// [`EvalReport::samples`](crate::evaluator::EvalReport) (sequential
+/// evaluators; these are what the total cap meters), or per query
+/// through the evaluator's cloud statistics (the shared cloud). Objects
+/// that report none split the cloud's samples evenly, in one histogram
+/// write per query, so the fixed-budget path stays uninstrumented per
+/// object.
+pub(crate) fn phase3<'t, const D: usize, T, E>(
+    query: &PrqQuery<D>,
+    work: &[(&'t Vector<D>, &'t T)],
+    evaluator: &mut E,
+    safeguards: &mut Safeguards,
+    metrics: Option<&PipelineMetrics>,
+    out: &mut ResilientOutcome<'t, D, T>,
+) where
+    E: ProbabilityEvaluator<D>,
+{
+    let budget = safeguards.budget;
+    let span = metrics.map(|m| m.phase_span(Phase::Integrate));
+    let t = Instant::now();
+    evaluator.begin_query(query.gaussian());
+    let (evaluated, skipped) = work.split_at(work.len().min(budget.max_candidates));
+    // Samples reported per object, and the objects that reported none.
+    let mut reported = 0usize;
+    let mut unreported = 0usize;
+    let mut faulted = 0usize;
+    let mut starved = 0usize;
+    let uncertain = |point, data, estimate, cause| UncertainObject {
+        point,
+        data,
+        estimate,
+        cause,
+    };
+    for &(point, data) in evaluated {
+        // Per-object grant, capped by what is left of the total. An
+        // evaluator may report more than it was granted, so the
+        // subtraction saturates.
+        #[cfg_attr(not(feature = "fault-inject"), allow(unused_mut))]
+        let mut grant = budget
+            .max_samples_per_object
+            .min(budget.max_total_samples.saturating_sub(reported));
+        #[cfg(feature = "fault-inject")]
+        let injected = {
+            if safeguards.trips(FaultSite::SampleStarvation) {
+                grant = 0;
+            }
+            safeguards.trips(FaultSite::Evaluator)
+        };
+        #[cfg(not(feature = "fault-inject"))]
+        let injected = false;
+        let result = if injected {
+            Err(EvalFailure::Injected)
+        } else {
+            evaluator.evaluate(query.gaussian(), point, query.delta(), query.theta(), grant)
+        };
+        match result {
+            Ok(rep) => {
+                out.stats.integrations += 1;
+                reported = reported.saturating_add(rep.samples);
+                if rep.samples == 0 {
+                    unreported += 1;
+                } else if let Some(m) = metrics {
+                    m.record_phase3_object(rep.samples);
+                }
+                if rep.early {
+                    out.stats.early_terminations += 1;
+                }
+                match rep.verdict {
+                    Verdict::Accept => out.answers.push((point, data)),
+                    Verdict::Reject => {}
+                    Verdict::Uncertain => out.uncertain.push(uncertain(
+                        point,
+                        data,
+                        Some(rep.estimate),
+                        UncertainCause::IntervalStraddlesTheta,
+                    )),
+                }
+            }
+            Err(EvalFailure::NoBudget) => {
+                starved += 1;
+                out.uncertain
+                    .push(uncertain(point, data, None, UncertainCause::NotEvaluated));
+            }
+            Err(EvalFailure::Injected) => {
+                faulted += 1;
+                out.uncertain
+                    .push(uncertain(point, data, None, UncertainCause::EvaluatorFault));
+            }
+        }
+    }
+    if !skipped.is_empty() {
+        for &(point, data) in skipped {
+            out.uncertain
+                .push(uncertain(point, data, None, UncertainCause::NotEvaluated));
+        }
+        out.report.record(DegradationReason::BudgetExhausted {
+            scope: BudgetScope::Candidates,
+            unresolved: skipped.len(),
+        });
+    }
+    if faulted > 0 {
+        out.report
+            .record(DegradationReason::EvaluatorFaults { objects: faulted });
+    }
+    if starved > 0 {
+        out.report.record(DegradationReason::BudgetExhausted {
+            scope: BudgetScope::TotalSamples,
+            unresolved: starved,
+        });
+    }
+    let stats = &mut out.stats;
+    stats.phase3_time = t.elapsed();
+    let cloud = evaluator.take_cloud_stats();
+    stats.absorb_cloud(&cloud);
+    stats.phase3_samples = reported.saturating_add(cloud.samples);
+    stats.uncertain = out.uncertain.len();
+    stats.answers = out.answers.len();
+    if let Some(span) = span {
+        span.finish();
+    }
+    if let Some(m) = metrics {
+        m.record_query(stats);
+        let per_object = cloud.samples.checked_div(unreported).unwrap_or(0);
+        m.record_phase3_objects(per_object, unreported);
+        m.record_report(&out.report);
     }
 }
 

@@ -154,74 +154,35 @@ impl ParallelIntegrator {
         if candidates.is_empty() {
             return Vec::new();
         }
-        if let Some(m) = metrics {
-            m.record_parallel_objects(candidates.len());
-        }
         match self.mode {
-            Phase3Mode::SharedCloud => self.run_shared_cloud(query, candidates, metrics),
+            Phase3Mode::SharedCloud => {
+                // `new` rejects samples == 0, so the floor never engages.
+                let budget = NonZeroUsize::new(self.samples).unwrap_or(NonZeroUsize::MIN);
+                let mut rng = StdRng::seed_from_u64(self.seed);
+                let grid = CloudGrid::draw(query.gaussian().cholesky(), budget, &mut rng);
+                let mean = *query.gaussian().mean();
+                let offsets: Vec<Vector<D>> = candidates.iter().map(|c| *c - mean).collect();
+                let item = BatchPhase3Item {
+                    grid: &grid,
+                    candidates: &offsets,
+                    delta: query.delta(),
+                };
+                let (probs, stats) = self.batch_probabilities(&[item], metrics);
+                if let Some(m) = metrics {
+                    let mut total = CloudStats {
+                        builds: 1,
+                        ..CloudStats::default()
+                    };
+                    for s in &stats {
+                        total.merge(s);
+                    }
+                    m.record_cloud(&total);
+                    m.record_phase3_objects(self.samples, candidates.len());
+                }
+                probs.into_iter().next().unwrap_or_default()
+            }
             Phase3Mode::PerCandidate => self.run_per_candidate(query, candidates, metrics),
         }
-    }
-
-    fn run_shared_cloud<const D: usize>(
-        &self,
-        query: &PrqQuery<D>,
-        candidates: &[Vector<D>],
-        metrics: Option<&PipelineMetrics>,
-    ) -> Vec<f64> {
-        let n = candidates.len();
-        let mut out = vec![0.0f64; n];
-        // `new` rejects samples == 0, so the floor never engages.
-        let budget = NonZeroUsize::new(self.samples).unwrap_or(NonZeroUsize::MIN);
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let grid = CloudGrid::draw(query.gaussian().cholesky(), budget, &mut rng);
-        let mean = *query.gaussian().mean();
-        let workers = self.worker_count().min(n);
-        let chunk = n.div_ceil(workers);
-        let mut worker_stats = vec![CloudStats::default(); workers];
-        std::thread::scope(|scope| {
-            for ((w, out_chunk), local) in out
-                .chunks_mut(chunk)
-                .enumerate()
-                .zip(worker_stats.iter_mut())
-            {
-                let start = w * chunk;
-                let grid = &grid;
-                scope.spawn(move || {
-                    // INVARIANT: the cloud is drawn once from the base
-                    // seed before the fan-out, and *candidates* — never
-                    // samples — are partitioned, so every worker layout
-                    // reads the same immutable grid and probabilities are
-                    // bit-identical across thread counts.
-                    for (offset, slot) in out_chunk.iter_mut().enumerate() {
-                        *slot = grid.probability_with_stats(
-                            &(candidates[start + offset] - mean),
-                            query.delta(),
-                            local,
-                        );
-                    }
-                    // One histogram write per worker, after its loop. In
-                    // this mode "worker samples" means distance-tested
-                    // samples; the total is layout-independent (a sum
-                    // over candidates), only the split varies.
-                    if let Some(m) = metrics {
-                        m.record_worker_samples(local.samples_tested);
-                    }
-                });
-            }
-        });
-        if let Some(m) = metrics {
-            let mut total = CloudStats {
-                builds: 1,
-                ..CloudStats::default()
-            };
-            for s in &worker_stats {
-                total.merge(s);
-            }
-            m.record_cloud(&total);
-            m.record_phase3_objects(self.samples, n);
-        }
-        out
     }
 
     fn run_per_candidate<const D: usize>(
@@ -231,6 +192,9 @@ impl ParallelIntegrator {
         metrics: Option<&PipelineMetrics>,
     ) -> Vec<f64> {
         let n = candidates.len();
+        if let Some(m) = metrics {
+            m.record_parallel_objects(n);
+        }
         let mut out = vec![0.0f64; n];
         let workers = self.worker_count().min(n);
         let chunk = n.div_ceil(workers);

@@ -15,7 +15,7 @@ use crate::query::PrqQuery;
 use crate::strategy::StrategySet;
 use crate::ucatalog::{BfCatalog, RrCatalog};
 use gprq_linalg::{Matrix, Vector};
-use gprq_rtree::RTree;
+use gprq_rtree::{Phase1Index, RTree};
 
 /// One step's outcome in a monitoring session.
 #[derive(Debug, Clone)]
@@ -30,9 +30,10 @@ pub struct StepOutcome<T> {
     pub stats: QueryStats,
 }
 
-/// A monitoring session over a static object database.
-pub struct MonitoringSession<'t, const D: usize, T, E> {
-    tree: &'t RTree<D, T>,
+/// A monitoring session over a static object database held in any
+/// Phase-1 index.
+pub struct MonitoringSession<'t, const D: usize, T, E, I = RTree<D, T>> {
+    tree: &'t I,
     delta: f64,
     theta: f64,
     strategies: StrategySet,
@@ -46,10 +47,11 @@ pub struct MonitoringSession<'t, const D: usize, T, E> {
     pub steps: usize,
 }
 
-impl<'t, const D: usize, T, E> MonitoringSession<'t, D, T, E>
+impl<'t, const D: usize, T, E, I> MonitoringSession<'t, D, T, E, I>
 where
     T: Clone + Ord,
     E: ProbabilityEvaluator<D>,
+    I: Phase1Index<D, T>,
 {
     /// Creates a session; builds both U-catalogs up front (the paper's
     /// intended deployment: tables offline, lookups per query).
@@ -58,7 +60,7 @@ where
     ///
     /// Validates `delta`, `theta`, and the strategy set.
     pub fn new(
-        tree: &'t RTree<D, T>,
+        tree: &'t I,
         delta: f64,
         theta: f64,
         strategies: StrategySet,

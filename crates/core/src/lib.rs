@@ -70,9 +70,8 @@ pub use batch::{cloud_seed, BatchOutcome, QueryBatch, SigmaFactorCache};
 pub use cost::{expected_integrations, region_volumes, DensityEstimate, RegionVolumes};
 pub use error::PrqError;
 pub use evaluator::{
-    BudgetedEvaluator, DeterministicBudgeted, EvalFailure, EvalReport, MonteCarloEvaluator,
-    ProbabilityEvaluator, Quadrature2dEvaluator, QuasiMonteCarloEvaluator,
-    SequentialMonteCarloEvaluator, SharedSamplesEvaluator,
+    EvalFailure, EvalReport, MonteCarloEvaluator, ProbabilityEvaluator, Quadrature2dEvaluator,
+    QuasiMonteCarloEvaluator, SequentialMonteCarloEvaluator,
 };
 pub use executor::{PrqExecutor, PrqOutcome, QueryScratch, QueryStats};
 pub use explain::{explain, explain_with_metrics, QueryPlan};

@@ -7,36 +7,57 @@
 //! worst-case bar.
 
 use crate::evaluator::ProbabilityEvaluator;
-use crate::executor::{PrqOutcome, QueryStats};
+use crate::executor::{phase3, PrqOutcome, QueryStats};
 use crate::query::PrqQuery;
+use crate::resilience::{ResilientOutcome, Safeguards, TerminalStrategy};
 use gprq_linalg::Vector;
-use gprq_rtree::RTree;
-use std::time::Instant;
+use gprq_rtree::{Phase1Index, Rect, SearchStats};
 
-/// Evaluates the query by a full scan with per-object integration.
-pub fn execute_naive<'t, const D: usize, T, E>(
-    tree: &'t RTree<D, T>,
+/// Evaluates the query by a full scan of any Phase-1 index, integrating
+/// every object through the one Phase-3 stage (paper-default budget,
+/// no metrics).
+pub fn execute_naive<'t, const D: usize, T, I, E>(
+    tree: &'t I,
     query: &PrqQuery<D>,
     evaluator: &mut E,
 ) -> PrqOutcome<'t, D, T>
 where
+    I: Phase1Index<D, T>,
     E: ProbabilityEvaluator<D>,
 {
+    let mut work = Vec::new();
     let mut stats = QueryStats::default();
-    let t = Instant::now();
-    evaluator.begin_query(query.gaussian());
-    let mut answers: Vec<(&'t Vector<D>, &'t T)> = Vec::new();
-    for (point, data) in tree.iter() {
-        stats.integrations += 1;
-        let p = evaluator.probability(query.gaussian(), point, query.delta());
-        if p >= query.theta() {
-            answers.push((point, data));
-        }
+    scan_all(tree, &mut work, &mut stats);
+    let mut outcome =
+        ResilientOutcome::entering_phase3(TerminalStrategy::NaiveScan, stats, Vec::new());
+    phase3(
+        query,
+        &work,
+        evaluator,
+        &mut Safeguards::default(),
+        None,
+        &mut outcome,
+    );
+    PrqOutcome {
+        answers: outcome.answers,
+        stats: outcome.stats,
     }
-    stats.phase1_candidates = stats.integrations;
-    stats.phase3_time = t.elapsed();
-    stats.answers = answers.len();
-    PrqOutcome { answers, stats }
+}
+
+/// The naive scan's Phase 1: fills `work` with every object of the
+/// index (one `Rect::everything()` search, so any backend serves it) and
+/// records the traversal and the candidate count in `stats`.
+pub(crate) fn scan_all<'t, const D: usize, T, I>(
+    tree: &'t I,
+    work: &mut Vec<(&'t Vector<D>, &'t T)>,
+    stats: &mut QueryStats,
+) where
+    I: Phase1Index<D, T>,
+{
+    let mut search = SearchStats::default();
+    tree.search_rect_into(&Rect::everything(), &mut search, work);
+    stats.absorb_search(&search);
+    stats.phase1_candidates = work.len();
 }
 
 #[cfg(test)]
@@ -46,7 +67,7 @@ mod tests {
     use crate::executor::PrqExecutor;
     use crate::strategy::StrategySet;
     use gprq_linalg::Matrix;
-    use gprq_rtree::RStarParams;
+    use gprq_rtree::{RStarParams, RTree};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

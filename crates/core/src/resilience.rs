@@ -8,7 +8,9 @@
 //! budget per candidate. A serving path cannot afford either property —
 //! one degenerate query must neither error out nor hog the integrator.
 //!
-//! [`ResilientExecutor`] wraps the same three-phase pipeline with:
+//! [`ResilientExecutor`] wraps a configured [`PrqExecutor`] — its
+//! Phases 1–2 over any [`Phase1Index`] and the Phase-3 stage every path
+//! shares — with:
 //!
 //! 1. **Admission** ([`AdmissionPolicy::admit`]) — rejects what cannot
 //!    be repaired (NaN/∞ centers and thresholds), repairs what can
@@ -21,8 +23,9 @@
 //!    full scan; each hop is a [`DegradationReason::StrategySwitched`]
 //!    or [`DegradationReason::NaiveFallback`] entry.
 //! 3. **Budgeted Phase 3** ([`EvalBudget`]) — per-object and total
-//!    sample caps with confidence-interval early termination (see
-//!    [`SequentialMonteCarloEvaluator`]); objects the budget cannot
+//!    sample caps, granted to [`ProbabilityEvaluator::evaluate`], with
+//!    confidence-interval early termination on a sequential evaluator
+//!    (see [`SequentialMonteCarloEvaluator`]); objects the budget cannot
 //!    settle come back as explicit [`Verdict::Uncertain`] entries, never
 //!    as unlabeled guesses.
 //!
@@ -33,23 +36,20 @@
 //! [`SequentialMonteCarloEvaluator`]: crate::evaluator::SequentialMonteCarloEvaluator
 
 use crate::error::PrqError;
-use crate::evaluator::{BudgetedEvaluator, EvalFailure};
-use crate::executor::{PrqExecutor, QueryScratch, QueryStats};
-use crate::metrics::{Phase, PipelineMetrics};
+use crate::evaluator::ProbabilityEvaluator;
+use crate::executor::{phase3, PrqExecutor, QueryScratch, QueryStats};
+use crate::metrics::Phase;
+use crate::naive::scan_all;
 use crate::query::PrqQuery;
-use crate::strategy::rr::FringeMode;
 use crate::strategy::StrategySet;
-use crate::ucatalog::{BfCatalog, RrCatalog};
 use gprq_gaussian::integrate::PAPER_MC_SAMPLES;
 use gprq_linalg::{LinalgError, Matrix, Vector};
-use gprq_rtree::RTree;
+use gprq_rtree::Phase1Index;
 use std::fmt;
 use std::time::Instant;
 
 #[cfg(feature = "fault-inject")]
 use crate::fault::{FaultPlan, FaultSite};
-#[cfg(feature = "fault-inject")]
-use gprq_rtree::{Rect, SearchStats};
 
 /// Classification of one object against `θ`, with uncertainty explicit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -531,13 +531,52 @@ pub struct ResilientOutcome<'t, const D: usize, T> {
     pub terminal: TerminalStrategy,
 }
 
+impl<'t, const D: usize, T> ResilientOutcome<'t, D, T> {
+    /// A run entering Phase 3 with the answers and statistics of the
+    /// phases before it, nothing uncertain, and an empty report.
+    pub(crate) fn entering_phase3(
+        terminal: TerminalStrategy,
+        stats: QueryStats,
+        answers: Vec<(&'t Vector<D>, &'t T)>,
+    ) -> Self {
+        ResilientOutcome {
+            answers,
+            uncertain: Vec::new(),
+            report: DegradationReport::new(),
+            stats,
+            terminal,
+        }
+    }
+}
+
+/// What a run may spend in Phase 3 and, with `fault-inject`, the armed
+/// fault plan it consults at each site. The plain executor runs with
+/// the default: the paper's per-object budget, no other cap, no faults.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Safeguards {
+    /// The Phase-3 caps.
+    pub(crate) budget: EvalBudget,
+    /// The armed fault plan, if any.
+    #[cfg(feature = "fault-inject")]
+    pub(crate) faults: Option<FaultPlan>,
+}
+
+impl Safeguards {
+    /// Whether the fault at `site` fires on this consultation.
+    #[cfg(feature = "fault-inject")]
+    pub(crate) fn trips(&mut self, site: FaultSite) -> bool {
+        self.faults.as_mut().is_some_and(|plan| plan.trip(site))
+    }
+}
+
 /// The hardened executor: admission, strategy fallback, budgeted
 /// Phase 3, and (behind the `fault-inject` feature) deterministic
-/// fault injection.
+/// fault injection, around a configured [`PrqExecutor`] over any
+/// [`Phase1Index`].
 ///
 /// ```
 /// use gprq_core::resilience::{EvalBudget, ResilientExecutor, TerminalStrategy};
-/// use gprq_core::{DeterministicBudgeted, Quadrature2dEvaluator, StrategySet};
+/// use gprq_core::{PrqExecutor, Quadrature2dEvaluator, StrategySet};
 /// use gprq_linalg::{Matrix, Vector};
 /// use gprq_rtree::{RStarParams, RTree};
 ///
@@ -545,8 +584,8 @@ pub struct ResilientOutcome<'t, const D: usize, T> {
 ///     .map(|i| (Vector::from([(i % 20) as f64 * 5.0, (i / 20) as f64 * 5.0]), i))
 ///     .collect();
 /// let tree = RTree::bulk_load(points, RStarParams::paper_default(2));
-/// let mut exec = ResilientExecutor::new(StrategySet::ALL);
-/// let mut eval = DeterministicBudgeted::new(Quadrature2dEvaluator::default());
+/// let mut exec = ResilientExecutor::new(PrqExecutor::new(StrategySet::ALL));
+/// let mut eval = Quadrature2dEvaluator::default();
 /// // θ = 0.7 would be a hard error for RR/OR; here it degrades to BF.
 /// let outcome = exec
 ///     .execute(&tree, Vector::from([50.0, 50.0]), Matrix::identity().scale(30.0), 20.0, 0.7, &mut eval)
@@ -556,65 +595,29 @@ pub struct ResilientOutcome<'t, const D: usize, T> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ResilientExecutor<'c> {
-    strategies: StrategySet,
-    fringe_mode: FringeMode,
-    rr_catalog: Option<&'c RrCatalog>,
-    bf_catalog: Option<&'c BfCatalog>,
-    budget: EvalBudget,
+    executor: PrqExecutor<'c>,
     policy: AdmissionPolicy,
-    metrics: Option<&'c PipelineMetrics>,
-    #[cfg(feature = "fault-inject")]
-    faults: Option<FaultPlan>,
+    safeguards: Safeguards,
 }
 
 impl<'c> ResilientExecutor<'c> {
-    /// Creates a resilient executor with the paper-default budget and
-    /// default admission policy.
-    pub fn new(strategies: StrategySet) -> Self {
+    /// Wraps `executor` — its strategy set, fringe mode, catalogs, and
+    /// metrics handle — with the paper-default budget and the default
+    /// admission policy. Catalogs that do not fit a query are dropped
+    /// with a report entry instead of erroring; an attached
+    /// [`PipelineMetrics`](crate::PipelineMetrics) also receives the
+    /// per-object sample histogram and the repair/fallback counters.
+    pub fn new(executor: PrqExecutor<'c>) -> Self {
         ResilientExecutor {
-            strategies,
-            fringe_mode: FringeMode::PaperFaithful,
-            rr_catalog: None,
-            bf_catalog: None,
-            budget: EvalBudget::paper_default(),
+            executor,
             policy: AdmissionPolicy::default(),
-            metrics: None,
-            #[cfg(feature = "fault-inject")]
-            faults: None,
+            safeguards: Safeguards::default(),
         }
-    }
-
-    /// Attaches a [`PipelineMetrics`] handle: phase spans, per-query
-    /// counters, per-object sample histograms, and the repair/fallback
-    /// counters all record into it.
-    pub fn with_metrics(mut self, metrics: &'c PipelineMetrics) -> Self {
-        self.metrics = Some(metrics);
-        self
-    }
-
-    /// Overrides the fringe-filter mode (see [`FringeMode`]).
-    pub fn with_fringe_mode(mut self, mode: FringeMode) -> Self {
-        self.fringe_mode = mode;
-        self
-    }
-
-    /// Uses an RR U-catalog (dropped with a report entry on dimension
-    /// mismatch instead of erroring).
-    pub fn with_rr_catalog(mut self, catalog: &'c RrCatalog) -> Self {
-        self.rr_catalog = Some(catalog);
-        self
-    }
-
-    /// Uses a BF U-catalog (dropped with a report entry on dimension
-    /// mismatch instead of erroring).
-    pub fn with_bf_catalog(mut self, catalog: &'c BfCatalog) -> Self {
-        self.bf_catalog = Some(catalog);
-        self
     }
 
     /// Overrides the Phase-3 budget.
     pub fn with_budget(mut self, budget: EvalBudget) -> Self {
-        self.budget = budget;
+        self.safeguards.budget = budget;
         self
     }
 
@@ -626,26 +629,19 @@ impl<'c> ResilientExecutor<'c> {
 
     /// The configured budget.
     pub fn budget(&self) -> EvalBudget {
-        self.budget
+        self.safeguards.budget
     }
 
     /// Arms a deterministic fault plan; every subsequent execution
     /// consults it at each fault site.
     #[cfg(feature = "fault-inject")]
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
+        self.safeguards.faults = Some(plan);
         self
     }
 
-    #[cfg(feature = "fault-inject")]
-    fn fault_trips(&mut self, site: FaultSite) -> bool {
-        match &mut self.faults {
-            Some(plan) => plan.trip(site),
-            None => false,
-        }
-    }
-
-    /// Runs the full resilient pipeline on raw query parameters.
+    /// Runs the full resilient pipeline on raw query parameters over any
+    /// Phase-1 index.
     ///
     /// Unlike [`PrqExecutor::execute`], this takes the raw `(q, Σ, δ,
     /// θ)` because admission may repair them before a [`PrqQuery`] can
@@ -658,9 +654,9 @@ impl<'c> ResilientExecutor<'c> {
     /// Admission rejections only: [`PrqError::InvalidDelta`],
     /// [`PrqError::InvalidTheta`] (non-finite θ),
     /// [`PrqError::InvalidCenter`], [`PrqError::BadCovariance`].
-    pub fn execute<'t, const D: usize, T, E>(
+    pub fn execute<'t, const D: usize, T, I, E>(
         &mut self,
-        tree: &'t RTree<D, T>,
+        tree: &'t I,
         center: Vector<D>,
         covariance: Matrix<D>,
         delta: f64,
@@ -668,14 +664,15 @@ impl<'c> ResilientExecutor<'c> {
         evaluator: &mut E,
     ) -> Result<ResilientOutcome<'t, D, T>, PrqError>
     where
-        E: BudgetedEvaluator<D>,
+        I: Phase1Index<D, T>,
+        E: ProbabilityEvaluator<D>,
     {
         let mut report = DegradationReport::new();
 
         // Fault: degrade Σ to a rank-1 (singular) matrix before
         // admission, forcing the ridge-repair path.
         #[cfg(feature = "fault-inject")]
-        let covariance = if self.fault_trips(FaultSite::SigmaDegeneracy) {
+        let covariance = if self.safeguards.trips(FaultSite::SigmaDegeneracy) {
             let fill = covariance.trace().abs().max(1.0) / D.max(1) as f64;
             Matrix::from_fn(|_, _| fill)
         } else {
@@ -687,56 +684,22 @@ impl<'c> ResilientExecutor<'c> {
             .admit(center, covariance, delta, theta, &mut report)?;
 
         // --- Preflight strategy fallback chain. ------------------------
-        let mut rr_cat = self.rr_catalog;
-        if let Some(cat) = rr_cat {
-            if cat.dim() != D {
-                report.record(DegradationReason::CatalogDropped {
-                    which: CatalogKind::Rr,
-                    catalog_dim: cat.dim(),
-                    query_dim: D,
-                });
-                rr_cat = None;
-            }
-        }
-        let mut bf_cat = self.bf_catalog;
-        if let Some(cat) = bf_cat {
-            if cat.dim() != D {
-                report.record(DegradationReason::CatalogDropped {
-                    which: CatalogKind::Bf,
-                    catalog_dim: cat.dim(),
-                    query_dim: D,
-                });
-                bf_cat = None;
-            }
-        }
+        let mut exec = self.executor;
+        drop_catalogs::<D>(&mut exec, &mut report, |dim| dim != D);
         // Fault: catalogs vanish (e.g. a cache eviction mid-flight).
         #[cfg(feature = "fault-inject")]
-        if self.fault_trips(FaultSite::CatalogLookup) {
-            if let Some(cat) = rr_cat.take() {
-                report.record(DegradationReason::CatalogDropped {
-                    which: CatalogKind::Rr,
-                    catalog_dim: cat.dim(),
-                    query_dim: D,
-                });
-            }
-            if let Some(cat) = bf_cat.take() {
-                report.record(DegradationReason::CatalogDropped {
-                    which: CatalogKind::Bf,
-                    catalog_dim: cat.dim(),
-                    query_dim: D,
-                });
-            }
+        if self.safeguards.trips(FaultSite::CatalogLookup) {
+            drop_catalogs::<D>(&mut exec, &mut report, |_| true);
         }
 
-        let mut strategies = self.strategies;
         // θ ≥ 1/2: the θ-region does not exist, so any set using RR or
         // OR degrades to BF-only (which works at any θ).
-        if query.theta() >= 0.5 && (strategies.rr || strategies.or) {
-            let from = strategies;
-            strategies = StrategySet::BF;
+        let from = exec.strategies;
+        if query.theta() >= 0.5 && (from.rr || from.or) {
+            exec.strategies = StrategySet::BF;
             report.record(DegradationReason::StrategySwitched {
                 from,
-                to: strategies,
+                to: exec.strategies,
                 cause: SwitchCause::ThetaAboveHalf(query.theta()),
             });
         }
@@ -744,13 +707,13 @@ impl<'c> ResilientExecutor<'c> {
         // pair it with RR. A fully-empty set has nothing to salvage and
         // goes straight to the naive scan.
         let mut naive_cause: Option<SwitchCause> = None;
-        if strategies.validate().is_err() {
-            if strategies.or {
-                let from = strategies;
-                strategies = StrategySet::RR_OR;
+        if exec.strategies.validate().is_err() {
+            if exec.strategies.or {
+                let from = exec.strategies;
+                exec.strategies = StrategySet::RR_OR;
                 report.record(DegradationReason::StrategySwitched {
                     from,
-                    to: strategies,
+                    to: exec.strategies,
                     cause: SwitchCause::NoPrimaryStrategy,
                 });
             } else {
@@ -758,58 +721,38 @@ impl<'c> ResilientExecutor<'c> {
             }
         }
 
+        // Fault: the index cannot complete a traversal; fall back to the
+        // scan.
+        #[cfg(feature = "fault-inject")]
+        if naive_cause.is_none() && self.safeguards.trips(FaultSite::Phase1Traversal) {
+            naive_cause = Some(SwitchCause::IndexUnavailable);
+        }
+
         // --- Filtered attempt (Phases 1–2). ----------------------------
         let mut stats = QueryStats::default();
         let mut answers: Vec<(&'t Vector<D>, &'t T)> = Vec::new();
         let mut scratch = QueryScratch::new();
-
-        // Fault: the index cannot complete a traversal. Exercise the
-        // fallible hook (so the abort path is genuinely taken), discard
-        // partial output, and fall back to the scan.
-        #[cfg(feature = "fault-inject")]
-        if naive_cause.is_none() && self.fault_trips(FaultSite::Phase1Traversal) {
-            let mut search_stats = SearchStats::default();
-            let aborted: Result<(), ()> =
-                tree.try_query_rect_visit(&Rect::everything(), &mut search_stats, |_, _| Err(()));
-            debug_assert!(aborted.is_err() || tree.is_empty());
-            naive_cause = Some(SwitchCause::IndexUnavailable);
-        }
-
-        if naive_cause.is_none() {
-            let mut exec = PrqExecutor::new(strategies).with_fringe_mode(self.fringe_mode);
-            if let Some(metrics) = self.metrics {
-                exec = exec.with_metrics(metrics);
-            }
-            if let Some(cat) = rr_cat {
-                exec = exec.with_rr_catalog(cat);
-            }
-            if let Some(cat) = bf_cat {
-                exec = exec.with_bf_catalog(cat);
-            }
-            if exec
+        if naive_cause.is_none()
+            && exec
                 .collect_candidates(tree, &query, &mut scratch, &mut stats, &mut answers)
                 .is_err()
-            {
-                // Unreachable after preflight for today's strategies, but
-                // resilience means catching tomorrow's failure modes too.
-                naive_cause = Some(SwitchCause::ExecutionFailed);
-            }
+        {
+            // Unreachable after preflight for today's strategies, but
+            // resilience means catching tomorrow's failure modes too.
+            naive_cause = Some(SwitchCause::ExecutionFailed);
         }
 
         let terminal = match naive_cause {
-            None => TerminalStrategy::Filtered(strategies),
+            None => TerminalStrategy::Filtered(exec.strategies),
             Some(cause) => {
                 report.record(DegradationReason::NaiveFallback { cause });
-                // Discard any partial filtered state and rebuild the
-                // Phase-3 work list as the whole database.
+                // Discard any partial filtered state; the Phase-3 work
+                // list becomes the whole index.
                 stats = QueryStats::default();
                 answers.clear();
-                scratch = QueryScratch::new();
-                let span1 = self.metrics.map(|m| m.phase_span(Phase::Search));
+                let span1 = exec.metrics().map(|m| m.phase_span(Phase::Search));
                 let t0 = Instant::now();
-                let work = scratch.naive_work_list();
-                work.extend(tree.iter());
-                stats.phase1_candidates = work.len();
+                scan_all(tree, scratch.naive_work_list(), &mut stats);
                 stats.phase1_time = t0.elapsed();
                 if let Some(span) = span1 {
                     span.finish();
@@ -818,174 +761,53 @@ impl<'c> ResilientExecutor<'c> {
             }
         };
 
-        // --- Phase 3: budgeted evaluation. -----------------------------
-        let mut uncertain: Vec<UncertainObject<'t, D, T>> = Vec::new();
-        self.phase3(
+        // --- Phase 3: the shared, budgeted stage. ----------------------
+        let mut outcome = ResilientOutcome::entering_phase3(terminal, stats, answers);
+        outcome.report = report;
+        phase3(
             &query,
-            &scratch,
+            scratch.work_list(),
             evaluator,
-            &mut stats,
-            &mut report,
-            &mut answers,
-            &mut uncertain,
+            &mut self.safeguards,
+            exec.metrics(),
+            &mut outcome,
         );
-        stats.answers = answers.len();
-        if let Some(metrics) = self.metrics {
-            metrics.record_query(&stats);
-            metrics.record_report(&report);
-        }
-
-        Ok(ResilientOutcome {
-            answers,
-            uncertain,
-            report,
-            stats,
-            terminal,
-        })
+        Ok(outcome)
     }
+}
 
-    /// The budgeted Phase-3 loop over `scratch.to_integrate`.
-    #[allow(clippy::too_many_arguments)]
-    fn phase3<'t, const D: usize, T, E>(
-        &mut self,
-        query: &PrqQuery<D>,
-        scratch: &QueryScratch<'t, D, T>,
-        evaluator: &mut E,
-        stats: &mut QueryStats,
-        report: &mut DegradationReport,
-        answers: &mut Vec<(&'t Vector<D>, &'t T)>,
-        uncertain: &mut Vec<UncertainObject<'t, D, T>>,
-    ) where
-        E: BudgetedEvaluator<D>,
-    {
-        let items = scratch.work_list();
-        let span3 = self.metrics.map(|m| m.phase_span(Phase::Integrate));
-        let t2 = Instant::now();
-        evaluator.begin_query(query.gaussian());
-        let mut faulted = 0usize;
-        let mut starved = 0usize;
-        for (idx, &(point, data)) in items.iter().enumerate() {
-            // Candidate cap: everything past it is reported, not dropped.
-            if idx >= self.budget.max_candidates {
-                let skipped = items.len() - idx;
-                for &(p, d) in &items[idx..] {
-                    uncertain.push(UncertainObject {
-                        point: p,
-                        data: d,
-                        estimate: None,
-                        cause: UncertainCause::NotEvaluated,
-                    });
-                }
-                stats.uncertain += skipped;
-                report.record(DegradationReason::BudgetExhausted {
-                    scope: BudgetScope::Candidates,
-                    unresolved: skipped,
-                });
-                break;
-            }
-            // Per-object budget, capped by what's left of the total.
-            let remaining_total = self.budget.max_total_samples - stats.phase3_samples;
-            #[allow(unused_mut)]
-            let mut per_object = self.budget.max_samples_per_object.min(remaining_total);
-            // Fault: this object's sample budget is starved away.
-            #[cfg(feature = "fault-inject")]
-            if self.fault_trips(FaultSite::SampleStarvation) {
-                per_object = 0;
-            }
-            let result = {
-                #[cfg(feature = "fault-inject")]
-                {
-                    if self.fault_trips(FaultSite::Evaluator) {
-                        Err(EvalFailure::Injected)
-                    } else {
-                        evaluator.evaluate(
-                            query.gaussian(),
-                            point,
-                            query.delta(),
-                            query.theta(),
-                            per_object,
-                        )
-                    }
-                }
-                #[cfg(not(feature = "fault-inject"))]
-                {
-                    evaluator.evaluate(
-                        query.gaussian(),
-                        point,
-                        query.delta(),
-                        query.theta(),
-                        per_object,
-                    )
-                }
-            };
-            match result {
-                Ok(rep) => {
-                    stats.integrations += 1;
-                    stats.phase3_samples += rep.samples;
-                    if let Some(metrics) = self.metrics {
-                        metrics.record_phase3_object(rep.samples);
-                    }
-                    if rep.early {
-                        stats.early_terminations += 1;
-                    }
-                    match rep.verdict {
-                        Verdict::Accept => answers.push((point, data)),
-                        Verdict::Reject => {}
-                        Verdict::Uncertain => {
-                            stats.uncertain += 1;
-                            uncertain.push(UncertainObject {
-                                point,
-                                data,
-                                estimate: Some(rep.estimate),
-                                cause: UncertainCause::IntervalStraddlesTheta,
-                            });
-                        }
-                    }
-                }
-                Err(EvalFailure::NoBudget) => {
-                    starved += 1;
-                    stats.uncertain += 1;
-                    uncertain.push(UncertainObject {
-                        point,
-                        data,
-                        estimate: None,
-                        cause: UncertainCause::NotEvaluated,
-                    });
-                }
-                Err(EvalFailure::Injected) => {
-                    faulted += 1;
-                    stats.uncertain += 1;
-                    uncertain.push(UncertainObject {
-                        point,
-                        data,
-                        estimate: None,
-                        cause: UncertainCause::EvaluatorFault,
-                    });
-                }
-            }
-        }
-        if faulted > 0 {
-            report.record(DegradationReason::EvaluatorFaults { objects: faulted });
-        }
-        if starved > 0 {
-            report.record(DegradationReason::BudgetExhausted {
-                scope: BudgetScope::TotalSamples,
-                unresolved: starved,
-            });
-        }
-        stats.phase3_time = t2.elapsed();
-        stats.absorb_cloud(&evaluator.take_cloud_stats());
-        if let Some(span) = span3 {
-            span.finish();
-        }
+/// Drops each configured catalog whose dimension `drop` selects,
+/// recording one [`DegradationReason::CatalogDropped`] entry per
+/// catalog (RR first).
+fn drop_catalogs<const D: usize>(
+    exec: &mut PrqExecutor<'_>,
+    report: &mut DegradationReport,
+    drop: impl Fn(usize) -> bool,
+) {
+    let mut record = |which, catalog_dim| {
+        report.record(DegradationReason::CatalogDropped {
+            which,
+            catalog_dim,
+            query_dim: D,
+        });
+    };
+    if let Some(cat) = exec.rr_catalog.filter(|c| drop(c.dim())) {
+        record(CatalogKind::Rr, cat.dim());
+        exec.rr_catalog = None;
+    }
+    if let Some(cat) = exec.bf_catalog.filter(|c| drop(c.dim())) {
+        record(CatalogKind::Bf, cat.dim());
+        exec.bf_catalog = None;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluator::{DeterministicBudgeted, Quadrature2dEvaluator};
-    use gprq_rtree::RStarParams;
+    use crate::evaluator::{EvalFailure, EvalReport, MonteCarloEvaluator, Quadrature2dEvaluator};
+    use crate::ucatalog::{BfCatalog, RrCatalog};
+    use gprq_gaussian::Gaussian;
+    use gprq_rtree::{RStarParams, RTree};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1125,8 +947,8 @@ mod tests {
         RTree::bulk_load(points, RStarParams::paper_default(2))
     }
 
-    fn oracle() -> DeterministicBudgeted<Quadrature2dEvaluator> {
-        DeterministicBudgeted::new(Quadrature2dEvaluator::default())
+    fn oracle() -> Quadrature2dEvaluator {
+        Quadrature2dEvaluator::default()
     }
 
     #[test]
@@ -1137,7 +959,7 @@ mod tests {
         let plain = PrqExecutor::new(StrategySet::ALL)
             .execute(&tree, &query, &mut plain_eval)
             .unwrap();
-        let mut res = ResilientExecutor::new(StrategySet::ALL);
+        let mut res = ResilientExecutor::new(PrqExecutor::new(StrategySet::ALL));
         let outcome = res
             .execute(
                 &tree,
@@ -1173,7 +995,7 @@ mod tests {
             or: false,
             bf: false,
         };
-        let mut res = ResilientExecutor::new(none);
+        let mut res = ResilientExecutor::new(PrqExecutor::new(none));
         let outcome = res
             .execute(
                 &tree,
@@ -1208,9 +1030,11 @@ mod tests {
         let tree = random_tree(1_000, 13);
         let rr_cat = RrCatalog::new(3);
         let bf_cat = BfCatalog::new(5);
-        let mut res = ResilientExecutor::new(StrategySet::ALL)
-            .with_rr_catalog(&rr_cat)
-            .with_bf_catalog(&bf_cat);
+        let mut res = ResilientExecutor::new(
+            PrqExecutor::new(StrategySet::ALL)
+                .with_rr_catalog(&rr_cat)
+                .with_bf_catalog(&bf_cat),
+        );
         let outcome = res
             .execute(
                 &tree,
@@ -1239,10 +1063,11 @@ mod tests {
     #[test]
     fn candidate_cap_reports_the_tail_as_uncertain() {
         let tree = random_tree(3_000, 17);
-        let mut res = ResilientExecutor::new(StrategySet::ALL).with_budget(EvalBudget {
-            max_candidates: 3,
-            ..EvalBudget::paper_default()
-        });
+        let mut res =
+            ResilientExecutor::new(PrqExecutor::new(StrategySet::ALL)).with_budget(EvalBudget {
+                max_candidates: 3,
+                ..EvalBudget::paper_default()
+            });
         let outcome = res
             .execute(
                 &tree,
@@ -1293,11 +1118,12 @@ mod tests {
         // RR alone never sure-accepts, so every Phase-2 survivor needs
         // integration; a 600-sample total budget dries up after at most
         // two objects and starves the rest.
-        let mut res = ResilientExecutor::new(StrategySet::RR).with_budget(EvalBudget {
-            max_samples_per_object: 512,
-            max_total_samples: 600,
-            max_candidates: usize::MAX,
-        });
+        let mut res =
+            ResilientExecutor::new(PrqExecutor::new(StrategySet::RR)).with_budget(EvalBudget {
+                max_samples_per_object: 512,
+                max_total_samples: 600,
+                max_candidates: usize::MAX,
+            });
         let mut eval =
             SequentialMonteCarloEvaluator::with_defaults(3).with_early_termination(false);
         let outcome = res
@@ -1328,6 +1154,109 @@ mod tests {
                 unresolved,
             } if *unresolved == starved
         )));
+    }
+
+    /// An evaluator that draws in fixed blocks and reports every sample
+    /// it drew, even past its grant — but honors a zero grant.
+    struct OverReporting;
+
+    impl ProbabilityEvaluator<2> for OverReporting {
+        fn probability(&mut self, _: &Gaussian<2>, _: &Vector<2>, _: f64) -> f64 {
+            0.5
+        }
+
+        fn evaluate(
+            &mut self,
+            _: &Gaussian<2>,
+            _: &Vector<2>,
+            _: f64,
+            _: f64,
+            max_samples: usize,
+        ) -> Result<EvalReport, EvalFailure> {
+            if max_samples == 0 {
+                return Err(EvalFailure::NoBudget);
+            }
+            Ok(EvalReport {
+                estimate: 0.5,
+                samples: 1_000,
+                verdict: Verdict::Accept,
+                early: false,
+            })
+        }
+    }
+
+    #[test]
+    fn over_reporting_evaluator_exhausts_the_total_without_wrapping() {
+        let tree = random_tree(3_000, 19);
+        let mut res =
+            ResilientExecutor::new(PrqExecutor::new(StrategySet::RR)).with_budget(EvalBudget {
+                max_samples_per_object: 100,
+                max_total_samples: 150,
+                max_candidates: usize::MAX,
+            });
+        let outcome = res
+            .execute(
+                &tree,
+                Vector::from([500.0, 500.0]),
+                sigma_paper(),
+                25.0,
+                0.01,
+                &mut OverReporting,
+            )
+            .unwrap();
+        // The first object over-spends the whole total; nothing after
+        // it is granted a sample.
+        assert_eq!(outcome.stats.integrations, 1);
+        assert_eq!(outcome.stats.phase3_samples, 1_000);
+        let starved = outcome
+            .uncertain
+            .iter()
+            .filter(|u| u.cause == UncertainCause::NotEvaluated)
+            .count();
+        assert!(starved > 0, "{:?}", outcome.stats);
+        assert_eq!(starved, outcome.uncertain.len());
+        assert!(outcome.report.iter().any(|r| matches!(
+            r,
+            DegradationReason::BudgetExhausted {
+                scope: BudgetScope::TotalSamples,
+                unresolved,
+            } if *unresolved == starved
+        )));
+    }
+
+    #[test]
+    fn unlimited_budget_matches_plain_executor_with_monte_carlo() {
+        let tree = random_tree(3_000, 23);
+        let (center, delta, theta) = (Vector::from([480.0, 515.0]), 25.0, 0.05);
+        let query = PrqQuery::new(center, sigma_paper(), delta, theta).unwrap();
+        let plain = PrqExecutor::new(StrategySet::ALL)
+            .execute(&tree, &query, &mut MonteCarloEvaluator::new(20_000, 77))
+            .unwrap();
+        let outcome = ResilientExecutor::new(PrqExecutor::new(StrategySet::ALL))
+            .with_budget(EvalBudget::UNLIMITED)
+            .execute(
+                &tree,
+                center,
+                sigma_paper(),
+                delta,
+                theta,
+                &mut MonteCarloEvaluator::new(20_000, 77),
+            )
+            .unwrap();
+        assert!(outcome.stats.integrations > 0);
+        assert!(outcome.uncertain.is_empty());
+        assert!(!outcome.report.is_degraded(), "{}", outcome.report);
+        let ids = |answers: &[(&Vector<2>, &usize)]| -> Vec<usize> {
+            answers.iter().map(|(_, d)| **d).collect()
+        };
+        assert_eq!(ids(&outcome.answers), ids(&plain.answers));
+        let untimed = |s: QueryStats| QueryStats {
+            phase1_time: Default::default(),
+            phase2_time: Default::default(),
+            phase3_time: Default::default(),
+            ..s
+        };
+        assert_eq!(untimed(outcome.stats), untimed(plain.stats));
     }
 
     #[test]

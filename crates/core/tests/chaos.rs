@@ -13,9 +13,9 @@
 use std::collections::BTreeSet;
 
 use gprq_core::{
-    execute_naive, DegradationReason, DeterministicBudgeted, FaultPlan, FaultSchedule, FaultSite,
-    PrqQuery, Quadrature2dEvaluator, ResilientExecutor, ResilientOutcome,
-    SequentialMonteCarloEvaluator, StrategySet, UncertainCause,
+    execute_naive, DegradationReason, FaultPlan, FaultSchedule, FaultSite, PrqExecutor, PrqQuery,
+    Quadrature2dEvaluator, ResilientExecutor, ResilientOutcome, SequentialMonteCarloEvaluator,
+    StrategySet, UncertainCause,
 };
 use gprq_linalg::{Matrix, Vector};
 use gprq_rtree::{RStarParams, RTree};
@@ -53,12 +53,12 @@ fn oracle_ids(tree: &RTree<2, usize>) -> BTreeSet<usize> {
         .collect()
 }
 
-fn exact_oracle() -> DeterministicBudgeted<Quadrature2dEvaluator> {
-    DeterministicBudgeted::new(Quadrature2dEvaluator::default())
+fn exact_oracle() -> Quadrature2dEvaluator {
+    Quadrature2dEvaluator::default()
 }
 
 fn run_with_plan(tree: &RTree<2, usize>, plan: FaultPlan) -> ResilientOutcome<'_, 2, usize> {
-    let mut exec = ResilientExecutor::new(StrategySet::ALL).with_fault_plan(plan);
+    let mut exec = ResilientExecutor::new(PrqExecutor::new(StrategySet::ALL)).with_fault_plan(plan);
     exec.execute(
         tree,
         Vector::from([500.0, 500.0]),
@@ -245,10 +245,12 @@ fn catalog_fault_drops_configured_catalogs_and_stays_exact() {
     let rr = RrCatalog::new(2);
     let bf = BfCatalog::new(2);
     let plan = FaultPlan::quiet().with_schedule(FaultSite::CatalogLookup, FaultSchedule::Always);
-    let mut exec = ResilientExecutor::new(StrategySet::ALL)
-        .with_rr_catalog(&rr)
-        .with_bf_catalog(&bf)
-        .with_fault_plan(plan);
+    let mut exec = ResilientExecutor::new(
+        PrqExecutor::new(StrategySet::ALL)
+            .with_rr_catalog(&rr)
+            .with_bf_catalog(&bf),
+    )
+    .with_fault_plan(plan);
     let outcome = exec
         .execute(
             &tree,
@@ -274,7 +276,7 @@ fn catalog_fault_drops_configured_catalogs_and_stays_exact() {
 fn starvation_fault_starves_monte_carlo_evaluation() {
     let tree = chaos_tree(2_000, 7);
     let plan = FaultPlan::quiet().with_schedule(FaultSite::SampleStarvation, FaultSchedule::Always);
-    let mut exec = ResilientExecutor::new(StrategySet::ALL).with_fault_plan(plan);
+    let mut exec = ResilientExecutor::new(PrqExecutor::new(StrategySet::ALL)).with_fault_plan(plan);
     let mut eval = SequentialMonteCarloEvaluator::with_defaults(11);
     let outcome = exec
         .execute(
@@ -303,7 +305,8 @@ fn seeded_fault_plans_with_monte_carlo_never_panic() {
     let tree = chaos_tree(1_000, 23);
     for seed in 100..116u64 {
         let plan = FaultPlan::from_seed(seed);
-        let mut exec = ResilientExecutor::new(StrategySet::ALL).with_fault_plan(plan);
+        let mut exec =
+            ResilientExecutor::new(PrqExecutor::new(StrategySet::ALL)).with_fault_plan(plan);
         let mut eval = SequentialMonteCarloEvaluator::with_defaults(seed);
         let outcome = exec
             .execute(
@@ -346,7 +349,7 @@ fn seeded_fault_plans_with_monte_carlo_never_panic() {
 fn batch_abort_degrades_only_affected_queries() {
     use gprq_core::ext::parallel::ParallelIntegrator;
     use gprq_core::metrics::names;
-    use gprq_core::{PipelineMetrics, PrqExecutor, QueryBatch};
+    use gprq_core::{PipelineMetrics, QueryBatch};
 
     let tree = chaos_tree(2_000, 7);
     let queries: Vec<PrqQuery<2>> = (0..6)
@@ -436,7 +439,6 @@ fn storm_intensity(plan: &FaultPlan) -> usize {
 /// storm-free single-writer run.
 #[test]
 fn total_conflict_storm_terminates_and_stays_bitwise_correct() {
-    use gprq_core::PrqExecutor;
     use gprq_rtree::ConcurrentRTree;
 
     let tree = chaos_tree(2_000, 7);

@@ -1,6 +1,7 @@
 //! Executor-level integration of the concurrent R\*-tree: the
-//! three-phase [`PrqExecutor`] runs unchanged over any
-//! [`Phase1Index`], the answers match the single-writer tree exactly,
+//! three-phase [`PrqExecutor`] and the [`ResilientExecutor`] run
+//! unchanged over any [`Phase1Index`], the answers match the
+//! single-writer tree exactly,
 //! and the OLC contention statistics flow end-to-end — `SearchStats` →
 //! [`QueryStats`] → the `prq_olc_*` pipeline metrics.
 //!
@@ -10,9 +11,13 @@
 use std::collections::BTreeSet;
 
 use gprq_core::metrics::names;
-use gprq_core::{PipelineMetrics, PrqExecutor, PrqQuery, Quadrature2dEvaluator, StrategySet};
+use gprq_core::{
+    DegradationReport, EvalBudget, PipelineMetrics, PrqExecutor, PrqQuery, Quadrature2dEvaluator,
+    ResilientExecutor, SequentialMonteCarloEvaluator, StrategySet, TerminalStrategy,
+    UncertainCause,
+};
 use gprq_linalg::{Matrix, Vector};
-use gprq_rtree::{ConcurrentRTree, RStarParams, RTree};
+use gprq_rtree::{ConcurrentRTree, Phase1Index, RStarParams, RTree};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -44,6 +49,57 @@ fn paired_trees(n: usize, seed: u64) -> (RTree<2, usize>, ConcurrentRTree<2, usi
 fn ids(answers: &[(&Vector<2>, &usize)]) -> BTreeSet<usize> {
     answers.iter().map(|(_, d)| **d).collect()
 }
+
+/// What a resilient run decided, in backend-independent form: sorted
+/// answer ids, sorted uncertain `(id, cause, estimate bits)`, the report,
+/// and the terminal strategy.
+type Decided = (
+    Vec<usize>,
+    Vec<(usize, UncertainCause, Option<u64>)>,
+    DegradationReport,
+    TerminalStrategy,
+);
+
+/// Runs the resilient pipeline over `index` with a sequential Monte
+/// Carlo evaluator whose small per-object budget leaves borderline
+/// objects uncertain.
+fn resilient_run<I: Phase1Index<2, usize>>(index: &I, set: StrategySet, theta: f64) -> Decided {
+    let budget = EvalBudget {
+        max_samples_per_object: 2_048,
+        ..EvalBudget::UNLIMITED
+    };
+    let outcome = ResilientExecutor::new(PrqExecutor::new(set))
+        .with_budget(budget)
+        .execute(
+            index,
+            Vector::from([500.0, 500.0]),
+            sigma(),
+            25.0,
+            theta,
+            &mut SequentialMonteCarloEvaluator::with_defaults(5),
+        )
+        .expect("resilient run");
+    let mut answers: Vec<usize> = outcome.answers.iter().map(|(_, d)| **d).collect();
+    answers.sort_unstable();
+    let mut uncertain: Vec<_> = outcome
+        .uncertain
+        .iter()
+        .map(|u| (*u.data, u.cause, u.estimate.map(f64::to_bits)))
+        .collect();
+    uncertain.sort_unstable_by_key(|u| u.0);
+    (answers, uncertain, outcome.report, outcome.terminal)
+}
+
+/// The strategy sets of the resilient parity runs: a clean filtered
+/// query, and the empty set, which forces the naive full scan.
+const RESILIENT_SETS: [StrategySet; 2] = [
+    StrategySet::ALL,
+    StrategySet {
+        rr: false,
+        or: false,
+        bf: false,
+    },
+];
 
 #[test]
 fn executor_answers_match_between_sequential_and_concurrent_trees() {
@@ -130,4 +186,21 @@ fn sequential_tree_reports_zero_olc_activity() {
         snap.histogram(names::OLC_RETRY_DEPTH).map(|h| h.count),
         Some(0)
     );
+}
+
+#[test]
+fn resilient_executor_over_concurrent_tree_matches_sequential_tree() {
+    let (seq, conc) = paired_trees(3_000, 49);
+    let mut uncertain = 0;
+    for set in RESILIENT_SETS {
+        for theta in [0.01, 0.2] {
+            let sequential = resilient_run(&seq, set, theta);
+            let concurrent = resilient_run(&conc, set, theta);
+            assert_eq!(sequential, concurrent, "{} θ = {theta}", set.name());
+            uncertain += sequential.1.len();
+        }
+    }
+    let naive = resilient_run(&conc, RESILIENT_SETS[1], 0.01);
+    assert_eq!(naive.3, TerminalStrategy::NaiveScan);
+    assert!(uncertain > 0, "the budget must leave some object uncertain");
 }

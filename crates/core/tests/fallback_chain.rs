@@ -4,8 +4,8 @@
 //! name every hop the chain took to get there.
 
 use gprq_core::{
-    BfCatalog, DegradationReason, DeterministicBudgeted, Quadrature2dEvaluator, ResilientExecutor,
-    RrCatalog, StrategySet, TerminalStrategy,
+    BfCatalog, DegradationReason, PrqExecutor, Quadrature2dEvaluator, ResilientExecutor, RrCatalog,
+    StrategySet, TerminalStrategy,
 };
 use gprq_linalg::{Matrix, Vector};
 use gprq_rtree::{RStarParams, RTree};
@@ -72,14 +72,14 @@ fn every_combination_reaches_a_terminal_strategy() {
         for theta in THETAS {
             for set in all_strategy_sets() {
                 let label = format!("{config:?} θ={theta} {}", set.name());
-                let mut exec = ResilientExecutor::new(set);
-                exec = match config {
-                    CatalogConfig::None => exec,
-                    CatalogConfig::Matched => exec.with_rr_catalog(&rr2).with_bf_catalog(&bf2),
-                    CatalogConfig::Mismatched => exec.with_rr_catalog(&rr3).with_bf_catalog(&bf3),
-                    CatalogConfig::MismatchedRrOnly => exec.with_rr_catalog(&rr3),
-                };
-                let mut eval = DeterministicBudgeted::new(Quadrature2dEvaluator::default());
+                let plain = PrqExecutor::new(set);
+                let mut exec = ResilientExecutor::new(match config {
+                    CatalogConfig::None => plain,
+                    CatalogConfig::Matched => plain.with_rr_catalog(&rr2).with_bf_catalog(&bf2),
+                    CatalogConfig::Mismatched => plain.with_rr_catalog(&rr3).with_bf_catalog(&bf3),
+                    CatalogConfig::MismatchedRrOnly => plain.with_rr_catalog(&rr3),
+                });
+                let mut eval = Quadrature2dEvaluator::default();
                 let outcome = exec
                     .execute(&tree, center, sigma, 50.0, theta, &mut eval)
                     .unwrap_or_else(|e| panic!("{label}: chain must not error, got {e}"));
@@ -200,7 +200,8 @@ fn early_termination_reduces_phase3_samples() {
     let run = |early: bool| {
         let mut eval =
             SequentialMonteCarloEvaluator::with_defaults(7).with_early_termination(early);
-        let mut exec = ResilientExecutor::new(StrategySet::RR).with_budget(budget);
+        let mut exec =
+            ResilientExecutor::new(PrqExecutor::new(StrategySet::RR)).with_budget(budget);
         exec.execute(&tree, center, sigma, 25.0, 0.05, &mut eval)
             .unwrap()
             .stats
@@ -247,8 +248,8 @@ fn degraded_routes_agree_with_each_other() {
     assert!(!oracle.is_empty());
 
     for set in all_strategy_sets() {
-        let mut exec = ResilientExecutor::new(set);
-        let mut eval = DeterministicBudgeted::new(Quadrature2dEvaluator::default());
+        let mut exec = ResilientExecutor::new(PrqExecutor::new(set));
+        let mut eval = Quadrature2dEvaluator::default();
         let outcome = exec
             .execute(&tree, center, sigma, 25.0, theta, &mut eval)
             .unwrap();

@@ -1,8 +1,9 @@
 //! Executor-level integration of the cache-conscious flat index: the
-//! three-phase [`PrqExecutor`] and the batched [`QueryBatch`] engine
-//! run unchanged over [`FlatRTree`] through [`Phase1Index`], answers
-//! match the pointer-tree backends exactly, and — on a frozen image —
-//! the Phase-1 counters flow through [`QueryStats`] bitwise.
+//! three-phase [`PrqExecutor`], the [`ResilientExecutor`], and the
+//! batched [`QueryBatch`] engine run unchanged over [`FlatRTree`]
+//! through [`Phase1Index`], answers match the pointer-tree backends
+//! exactly, and — on a frozen image — the Phase-1 counters flow through
+//! [`QueryStats`] bitwise.
 //!
 //! [`Phase1Index`]: gprq_rtree::Phase1Index
 //! [`QueryStats`]: gprq_core::QueryStats
@@ -11,10 +12,12 @@ use std::collections::BTreeSet;
 
 use gprq_core::ext::parallel::ParallelIntegrator;
 use gprq_core::{
-    MonteCarloEvaluator, PrqExecutor, PrqQuery, Quadrature2dEvaluator, QueryBatch, StrategySet,
+    DegradationReport, EvalBudget, MonteCarloEvaluator, PrqExecutor, PrqQuery,
+    Quadrature2dEvaluator, QueryBatch, ResilientExecutor, SequentialMonteCarloEvaluator,
+    StrategySet, TerminalStrategy, UncertainCause,
 };
 use gprq_linalg::{Matrix, Vector};
-use gprq_rtree::{FlatRTree, RStarParams, RTree};
+use gprq_rtree::{FlatRTree, Phase1Index, RStarParams, RTree};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -38,6 +41,57 @@ fn random_points(n: usize, seed: u64) -> Vec<(Vector<2>, usize)> {
 fn ids(answers: &[(&Vector<2>, &usize)]) -> BTreeSet<usize> {
     answers.iter().map(|(_, d)| **d).collect()
 }
+
+/// What a resilient run decided, in backend-independent form: sorted
+/// answer ids, sorted uncertain `(id, cause, estimate bits)`, the report,
+/// and the terminal strategy.
+type Decided = (
+    Vec<usize>,
+    Vec<(usize, UncertainCause, Option<u64>)>,
+    DegradationReport,
+    TerminalStrategy,
+);
+
+/// Runs the resilient pipeline over `index` with a sequential Monte
+/// Carlo evaluator whose small per-object budget leaves borderline
+/// objects uncertain.
+fn resilient_run<I: Phase1Index<2, usize>>(index: &I, set: StrategySet, theta: f64) -> Decided {
+    let budget = EvalBudget {
+        max_samples_per_object: 2_048,
+        ..EvalBudget::UNLIMITED
+    };
+    let outcome = ResilientExecutor::new(PrqExecutor::new(set))
+        .with_budget(budget)
+        .execute(
+            index,
+            Vector::from([500.0, 500.0]),
+            sigma(),
+            25.0,
+            theta,
+            &mut SequentialMonteCarloEvaluator::with_defaults(5),
+        )
+        .expect("resilient run");
+    let mut answers: Vec<usize> = outcome.answers.iter().map(|(_, d)| **d).collect();
+    answers.sort_unstable();
+    let mut uncertain: Vec<_> = outcome
+        .uncertain
+        .iter()
+        .map(|u| (*u.data, u.cause, u.estimate.map(f64::to_bits)))
+        .collect();
+    uncertain.sort_unstable_by_key(|u| u.0);
+    (answers, uncertain, outcome.report, outcome.terminal)
+}
+
+/// The strategy sets of the resilient parity runs: a clean filtered
+/// query, and the empty set, which forces the naive full scan.
+const RESILIENT_SETS: [StrategySet; 2] = [
+    StrategySet::ALL,
+    StrategySet {
+        rr: false,
+        or: false,
+        bf: false,
+    },
+];
 
 const QUERIES: [(f64, f64, f64, f64); 3] = [
     (500.0, 500.0, 25.0, 0.01),
@@ -131,4 +185,22 @@ fn query_batch_over_flat_backend_matches_solo_runs() {
         );
         assert_eq!(outcome.stats.answers, solo.stats.answers, "query {q}");
     }
+}
+
+#[test]
+fn resilient_executor_over_frozen_flat_matches_pointer_tree() {
+    let tree = RTree::bulk_load(random_points(3_000, 73), RStarParams::paper_default(2));
+    let frozen = FlatRTree::freeze(tree.clone());
+    let mut uncertain = 0;
+    for set in RESILIENT_SETS {
+        for theta in [0.01, 0.2] {
+            let pointer = resilient_run(&tree, set, theta);
+            let flat = resilient_run(&frozen, set, theta);
+            assert_eq!(pointer, flat, "{} θ = {theta}", set.name());
+            uncertain += pointer.1.len();
+        }
+    }
+    let naive = resilient_run(&frozen, RESILIENT_SETS[1], 0.01);
+    assert_eq!(naive.3, TerminalStrategy::NaiveScan);
+    assert!(uncertain > 0, "the budget must leave some object uncertain");
 }

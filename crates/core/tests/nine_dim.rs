@@ -4,7 +4,7 @@
 //! answers.
 
 use gprq_core::{
-    BfBounds, FringeMode, OrFilter, PrqExecutor, PrqQuery, RrFilter, SharedSamplesEvaluator,
+    BfBounds, FringeMode, MonteCarloEvaluator, OrFilter, PrqExecutor, PrqQuery, RrFilter,
     StrategySet, ThetaRegion,
 };
 use gprq_linalg::{Matrix, Vector};
@@ -105,7 +105,7 @@ fn candidates_dwarf_answers_in_nine_dims() {
     let tree = RTree::bulk_load(clustered_points(20_000, 1), RStarParams::paper_default(9));
     let center = Vector::<9>::splat(2.1); // on cluster 3
     let q = PrqQuery::new(center, narrow_sigma(0.5), 0.7, 0.4).unwrap();
-    let mut eval = SharedSamplesEvaluator::<9>::new(40_000, 9);
+    let mut eval = MonteCarloEvaluator::<9>::new(40_000, 9);
     let outcome = PrqExecutor::new(StrategySet::ALL)
         .execute(&tree, &q, &mut eval)
         .unwrap();
@@ -123,7 +123,7 @@ fn all_strategies_agree_on_shared_batch_9d() {
     let q = PrqQuery::new(Vector::<9>::splat(1.4), narrow_sigma(0.5), 0.9, 0.3).unwrap();
     let mut reference: Option<Vec<usize>> = None;
     for (name, set) in StrategySet::PAPER_COMBINATIONS {
-        let mut eval = SharedSamplesEvaluator::<9>::new(40_000, 55);
+        let mut eval = MonteCarloEvaluator::<9>::new(40_000, 55);
         let outcome = PrqExecutor::new(set).execute(&tree, &q, &mut eval).unwrap();
         let mut ids: Vec<usize> = outcome.answers.iter().map(|(_, d)| **d).collect();
         ids.sort_unstable();
@@ -139,7 +139,7 @@ fn generalized_fringe_only_tightens() {
     let tree = RTree::bulk_load(clustered_points(10_000, 4), RStarParams::paper_default(9));
     let q = PrqQuery::new(Vector::<9>::splat(1.4), narrow_sigma(0.5), 0.9, 0.3).unwrap();
     let run = |mode: FringeMode| {
-        let mut eval = SharedSamplesEvaluator::<9>::new(40_000, 55);
+        let mut eval = MonteCarloEvaluator::<9>::new(40_000, 55);
         PrqExecutor::new(StrategySet::RR)
             .with_fringe_mode(mode)
             .execute(&tree, &q, &mut eval)

@@ -1,15 +1,17 @@
-//! Phase-3 sample accounting on the fixed-budget paths: the solo
-//! `PrqExecutor` + `MonteCarloEvaluator`, the `QueryBatch`, and the
-//! `ParallelIntegrator` all report the samples behind every estimate.
-//! On each, `prq_phase3_samples_total` must equal the sum of the
-//! `prq_phase3_samples_per_object` histogram, every integrated object
-//! must count the whole cloud, and `QueryStats.phase3_samples` must
-//! agree with both.
+//! Phase-3 sample accounting on every path: the solo `PrqExecutor` +
+//! `MonteCarloEvaluator`, the `QueryBatch`, the `ParallelIntegrator`,
+//! and the `ResilientExecutor` with either Monte-Carlo evaluator all
+//! report the samples behind every estimate. On each,
+//! `prq_phase3_samples_total` must equal the sum of the
+//! `prq_phase3_samples_per_object` histogram and
+//! `QueryStats.phase3_samples` must agree with both; on the fixed-budget
+//! paths every integrated object counts the whole cloud.
 
 use gprq_core::ext::parallel::ParallelIntegrator;
 use gprq_core::metrics::names;
 use gprq_core::{
-    MonteCarloEvaluator, PipelineMetrics, PrqExecutor, PrqQuery, QueryBatch, StrategySet,
+    MonteCarloEvaluator, PipelineMetrics, ProbabilityEvaluator, PrqExecutor, PrqQuery, QueryBatch,
+    ResilientExecutor, SequentialMonteCarloEvaluator, StrategySet,
 };
 use gprq_linalg::{Matrix, Vector};
 use gprq_obs::MetricsSnapshot;
@@ -106,4 +108,62 @@ fn parallel_integrator_counts_phase3_samples() {
     integrator.probabilities_with_metrics(query, &candidates, &metrics);
     integrator.probabilities_with_metrics(query, &candidates[..7], &metrics);
     assert_counts(&metrics.snapshot(), 47);
+}
+
+/// Runs every query through the resilient path with a fresh evaluator
+/// from `make`, checking the per-query stats against the metrics; returns
+/// the snapshot and the summed stats.
+fn resilient_counts<E: ProbabilityEvaluator<2>>(
+    make: impl Fn(u64) -> E,
+) -> (MetricsSnapshot, usize, usize) {
+    let tree = tree();
+    let metrics = PipelineMetrics::new();
+    let mut exec =
+        ResilientExecutor::new(PrqExecutor::new(StrategySet::ALL).with_metrics(&metrics));
+    let (mut samples, mut integrations) = (0, 0);
+    for (i, query) in queries().iter().enumerate() {
+        let g = query.gaussian();
+        let outcome = exec
+            .execute(
+                &tree,
+                *query.center(),
+                *g.covariance(),
+                query.delta(),
+                query.theta(),
+                &mut make(i as u64),
+            )
+            .unwrap();
+        samples += outcome.stats.phase3_samples;
+        integrations += outcome.stats.integrations;
+    }
+    let snap = metrics.snapshot();
+    let total = snap.counter(names::PHASE3_SAMPLES).unwrap();
+    let per_object = snap.histogram(names::PHASE3_SAMPLES_PER_OBJECT).unwrap();
+    assert!(integrations > 0, "the workload must integrate something");
+    assert_eq!(total, per_object.sum, "counter vs per-object histogram sum");
+    assert_eq!(total, samples as u64, "counter vs QueryStats");
+    assert_eq!(per_object.count, integrations as u64);
+    (snap, samples, integrations)
+}
+
+#[test]
+fn resilient_executor_counts_fixed_budget_samples() {
+    let (snap, samples, integrations) = resilient_counts(|i| MonteCarloEvaluator::new(SAMPLES, i));
+    assert_eq!(samples, integrations * SAMPLES);
+    assert_counts(&snap, integrations);
+}
+
+#[test]
+fn resilient_executor_counts_sequential_samples() {
+    let (snap, samples, integrations) =
+        resilient_counts(SequentialMonteCarloEvaluator::with_defaults);
+    let per_object = snap.histogram(names::PHASE3_SAMPLES_PER_OBJECT).unwrap();
+    // Early termination: each object draws whole blocks, at most the
+    // paper-default per-object budget.
+    assert!(per_object.max <= 100_000);
+    assert!(samples < integrations * 100_000);
+    assert_eq!(
+        samples % SequentialMonteCarloEvaluator::<2>::DEFAULT_BLOCK,
+        0
+    );
 }

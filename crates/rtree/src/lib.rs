@@ -38,7 +38,6 @@
 mod bulk;
 pub mod concurrent;
 pub mod flat;
-pub mod grid;
 pub mod node;
 pub mod olc;
 pub mod params;
@@ -49,7 +48,6 @@ pub mod tree;
 
 pub use concurrent::{ConcQueryScratch, ConcurrentRTree, ContentionLadder, MAX_FANOUT};
 pub use flat::{FlatRTree, PACKED_FANOUT};
-pub use grid::UniformGrid;
 pub use node::LeafEntry;
 pub use olc::{ReadOutcome, VersionCell};
 pub use params::RStarParams;

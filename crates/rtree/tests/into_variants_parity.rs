@@ -56,51 +56,6 @@ fn query_rect_into_matches_query_rect() {
 }
 
 #[test]
-fn try_query_rect_visit_matches_infallible_and_aborts_cleanly() {
-    let points = random_points(2_500, 13, 1_000.0);
-    let tree = build_tree(&points);
-    let mut rng = StdRng::seed_from_u64(14);
-    for _ in 0..40 {
-        let c = Vector::from([rng.gen::<f64>() * 1_000.0, rng.gen::<f64>() * 1_000.0]);
-        let half = Vector::from([rng.gen::<f64>() * 120.0, rng.gen::<f64>() * 120.0]);
-        let rect = Rect::centered(&c, &half);
-
-        let mut stats_a = SearchStats::default();
-        let mut infallible: Vec<(&Vector<2>, usize)> = Vec::new();
-        tree.query_rect_visit(&rect, &mut stats_a, |p, d| infallible.push((p, *d)));
-
-        // An always-Ok visitor is indistinguishable from the infallible path.
-        let mut stats_b = SearchStats::default();
-        let mut fallible: Vec<(&Vector<2>, usize)> = Vec::new();
-        let ok: Result<(), ()> = tree.try_query_rect_visit(&rect, &mut stats_b, |p, d| {
-            fallible.push((p, *d));
-            Ok(())
-        });
-        assert_eq!(ok, Ok(()));
-        assert_eq!(infallible, fallible);
-        assert_eq!(stats_a, stats_b);
-
-        // Aborting mid-traversal stops immediately after the cap.
-        if infallible.len() >= 2 {
-            let cap = infallible.len() / 2;
-            let mut stats_c = SearchStats::default();
-            let mut partial: Vec<(&Vector<2>, usize)> = Vec::new();
-            let aborted = tree.try_query_rect_visit(&rect, &mut stats_c, |p, d| {
-                if partial.len() == cap {
-                    return Err("cap hit");
-                }
-                partial.push((p, *d));
-                Ok(())
-            });
-            assert_eq!(aborted, Err("cap hit"));
-            assert_eq!(partial.len(), cap);
-            assert_eq!(&infallible[..cap], &partial[..]);
-            assert!(stats_c.nodes_visited <= stats_a.nodes_visited);
-        }
-    }
-}
-
-#[test]
 fn query_ball_into_matches_query_ball() {
     let points = random_points(2_500, 21, 1_000.0);
     let tree = build_tree(&points);

@@ -78,10 +78,10 @@ pub mod prelude {
     };
     pub use gprq_core::{
         cloud_seed, execute_naive, AdmissionPolicy, BatchOutcome, BfCatalog, BfClass,
-        DegradationReason, DegradationReport, EvalBudget, FringeMode, MonteCarloEvaluator,
-        PipelineMetrics, ProbabilityEvaluator, PrqError, PrqExecutor, PrqOutcome, PrqQuery,
-        Quadrature2dEvaluator, QuasiMonteCarloEvaluator, QueryBatch, QueryStats, ResilientExecutor,
-        ResilientOutcome, RrCatalog, SequentialMonteCarloEvaluator, SharedSamplesEvaluator,
+        DegradationReason, DegradationReport, EvalBudget, EvalFailure, EvalReport, FringeMode,
+        MonteCarloEvaluator, PipelineMetrics, ProbabilityEvaluator, PrqError, PrqExecutor,
+        PrqOutcome, PrqQuery, Quadrature2dEvaluator, QuasiMonteCarloEvaluator, QueryBatch,
+        QueryStats, ResilientExecutor, ResilientOutcome, RrCatalog, SequentialMonteCarloEvaluator,
         SigmaFactorCache, StrategySet, TerminalStrategy, ThetaRegion, UncertainCause, Verdict,
     };
     pub use gprq_gaussian::cloud::{CloudGrid, SampleCloud};

@@ -125,7 +125,7 @@ fn shared_samples_match_fresh_samples_closely() {
             .execute(&tree, &query, &mut fresh)
             .unwrap(),
     );
-    let mut shared = SharedSamplesEvaluator::<2>::new(100_000, 12);
+    let mut shared = MonteCarloEvaluator::<2>::new(100_000, 12);
     let b = sorted_ids(
         &PrqExecutor::new(StrategySet::ALL)
             .execute(&tree, &query, &mut shared)
@@ -164,7 +164,7 @@ fn nine_dimensional_pipeline_runs() {
 
     let mut reference: Option<Vec<usize>> = None;
     for (name, set) in StrategySet::PAPER_COMBINATIONS {
-        let mut eval = SharedSamplesEvaluator::<9>::new(50_000, 777);
+        let mut eval = MonteCarloEvaluator::<9>::new(50_000, 777);
         let outcome = PrqExecutor::new(set)
             .execute(&tree, &query, &mut eval)
             .unwrap();
