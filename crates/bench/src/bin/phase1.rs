@@ -3,10 +3,9 @@
 //! [`RTree`] on the paper's 50 000-point road-network workload, written
 //! to `BENCH_phase1.json` so the speedup is tracked over time.
 //!
-//! Four lanes run the same seeded rectangle set: the pointer tree
-//! (solo descents), a frozen image of that exact tree, the packed
-//! fanout-64 flat layout (solo descents — the guarded headline), and
-//! the packed layout's batched multi-rect descent. Passes alternate
+//! Three lanes run the same seeded rectangle set: the pointer tree, a
+//! frozen image of that exact tree, and the packed fanout-64 flat
+//! layout (the guarded headline). Passes alternate
 //! between the lanes and the minimum per-lane wall time is kept, so
 //! scheduler noise cancels instead of accumulating into one lane. The
 //! binary exits non-zero if the packed-layout speedup drops below the
@@ -31,7 +30,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Bump when the JSON layout changes; `--check` rejects older files.
-const SCHEMA: u64 = 1;
+const SCHEMA: u64 = 2;
 
 /// Minimum tolerated pointer-tree/flat-index wall-time ratio.
 const MIN_SPEEDUP: f64 = 2.0;
@@ -94,11 +93,9 @@ fn main() {
     }
 
     // Timed lanes, alternating; keep the minimum wall time per lane.
-    let mut best = [f64::INFINITY; 4]; // [pointer, frozen, packed, batched]
-    let mut checksum = [0usize; 4];
+    let mut best = [f64::INFINITY; 3]; // [pointer, frozen, packed]
+    let mut checksum = [0usize; 3];
     let mut buf = Vec::new();
-    let mut batch_stats = vec![SearchStats::default(); rects.len()];
-    let mut batch_out: Vec<Vec<(&Vector<2>, &u32)>> = vec![Vec::new(); rects.len()];
     for _ in 0..passes {
         let started = Instant::now();
         let mut stats = SearchStats::default();
@@ -123,37 +120,28 @@ fn main() {
             checksum[2] += buf.len();
         }
         best[2] = best[2].min(started.elapsed().as_secs_f64());
-
-        let started = Instant::now();
-        packed.query_rects_into(&rects, &mut batch_stats, &mut batch_out);
-        checksum[3] += batch_out.iter().map(Vec::len).sum::<usize>();
-        best[3] = best[3].min(started.elapsed().as_secs_f64());
     }
     assert_eq!(checksum[0], checksum[1], "lane result counts diverge");
     assert_eq!(checksum[0], checksum[2], "lane result counts diverge");
-    assert_eq!(checksum[0], checksum[3], "lane result counts diverge");
 
-    let [pointer_secs, frozen_secs, flat_secs, batch_secs] = best;
+    let [pointer_secs, frozen_secs, flat_secs] = best;
     let tiny = f64::MIN_POSITIVE;
     let speedup = pointer_secs / flat_secs.max(tiny);
     let frozen_speedup = pointer_secs / frozen_secs.max(tiny);
-    let batch_speedup = pointer_secs / batch_secs.max(tiny);
 
     println!("pointer R*-tree (min of {passes}): {pointer_secs:.4} s");
     println!("frozen flat     (min of {passes}): {frozen_secs:.4} s ({frozen_speedup:.2}x)");
     println!(
         "packed flat     (min of {passes}): {flat_secs:.4} s ({speedup:.2}x, floor {MIN_SPEEDUP}x)"
     );
-    println!("packed batched  (min of {passes}): {batch_secs:.4} s ({batch_speedup:.2}x)");
     println!("node visits: pointer {tree_visits}, packed flat {flat_visits}");
 
     let json = format!(
         "{{\n  \"schema\": {SCHEMA},\n  \"n\": {n},\n  \"queries\": {queries},\n  \
          \"passes\": {passes},\n  \"seed\": {seed},\n  \
          \"pointer_secs\": {pointer_secs:.6},\n  \"frozen_secs\": {frozen_secs:.6},\n  \
-         \"flat_secs\": {flat_secs:.6},\n  \"batch_secs\": {batch_secs:.6},\n  \
+         \"flat_secs\": {flat_secs:.6},\n  \
          \"speedup\": {speedup:.4},\n  \"frozen_speedup\": {frozen_speedup:.4},\n  \
-         \"batch_speedup\": {batch_speedup:.4},\n  \
          \"pointer_node_visits\": {tree_visits},\n  \"flat_node_visits\": {flat_visits},\n  \
          \"min_speedup\": {MIN_SPEEDUP}\n}}\n"
     );

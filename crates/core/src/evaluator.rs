@@ -78,6 +78,18 @@ pub trait ProbabilityEvaluator<const D: usize> {
     fn take_cloud_stats(&mut self) -> CloudStats {
         CloudStats::default()
     }
+
+    /// The samples every estimate of the current query rests on, when
+    /// that count is fixed before any object is evaluated (a shared
+    /// cloud of known size). Phase 3 charges it against the query's
+    /// total-sample cap before each evaluation, because such an
+    /// evaluator ignores its per-object grant and reports its samples
+    /// through [`ProbabilityEvaluator::take_cloud_stats`] only after
+    /// the fact. `None` (the default) for evaluators that report
+    /// per object or draw no samples.
+    fn fixed_samples(&self) -> Option<usize> {
+        None
+    }
 }
 
 /// Sample budgets are validated at construction; this conversion is for
@@ -155,6 +167,10 @@ impl<const D: usize> ProbabilityEvaluator<D> for MonteCarloEvaluator<D> {
 
     fn take_cloud_stats(&mut self) -> CloudStats {
         std::mem::take(&mut self.stats)
+    }
+
+    fn fixed_samples(&self) -> Option<usize> {
+        Some(self.samples)
     }
 }
 

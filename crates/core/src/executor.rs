@@ -29,7 +29,7 @@ use crate::strategy::StrategySet;
 use crate::theta_region::ThetaRegion;
 use crate::ucatalog::{BfCatalog, RrCatalog};
 use gprq_linalg::Vector;
-use gprq_rtree::{Phase1Index, Rect, SearchStats, OLC_DEPTH_BUCKETS};
+use gprq_rtree::{Phase1Index, Rect, SearchStats};
 use std::time::{Duration, Instant};
 
 #[cfg(feature = "fault-inject")]
@@ -88,20 +88,6 @@ pub struct QueryStats {
     pub cloud_cells_inside: usize,
     /// Cloud samples that ran the SoA distance kernel (boundary cells).
     pub cloud_samples_tested: usize,
-    /// Optimistic (OLC) node-read attempts in Phase 1. Zero for the
-    /// single-writer [`RTree`](gprq_rtree::RTree); the concurrent tree
-    /// counts one per capture/validate round.
-    pub olc_attempts: usize,
-    /// OLC attempts that failed validation (or found the node
-    /// write-locked) and were retried by the contention ladder.
-    pub olc_retries: usize,
-    /// Phase-1 traversals that exhausted the optimistic ladder and
-    /// degraded to the pessimistic (writer-excluding) fallback path.
-    pub olc_pessimistic_fallbacks: usize,
-    /// Log₂ histogram of per-node retry depth: bucket 0 counts
-    /// first-attempt validations, bucket `i ≥ 1` counts reads that
-    /// needed `2^(i−1) ≤ retries < 2^i` (last bucket saturates).
-    pub olc_retry_depth: [usize; OLC_DEPTH_BUCKETS],
     /// Phase-1 wall-clock time.
     pub phase1_time: Duration,
     /// Phase-2 wall-clock time.
@@ -136,12 +122,6 @@ impl QueryStats {
         self.cloud_cells_scanned += other.cloud_cells_scanned;
         self.cloud_cells_inside += other.cloud_cells_inside;
         self.cloud_samples_tested += other.cloud_samples_tested;
-        self.olc_attempts += other.olc_attempts;
-        self.olc_retries += other.olc_retries;
-        self.olc_pessimistic_fallbacks += other.olc_pessimistic_fallbacks;
-        for (mine, theirs) in self.olc_retry_depth.iter_mut().zip(other.olc_retry_depth) {
-            *mine += theirs;
-        }
         self.phase1_time += other.phase1_time;
         self.phase2_time += other.phase2_time;
         self.phase3_time += other.phase3_time;
@@ -153,10 +133,6 @@ impl QueryStats {
     pub(crate) fn absorb_search(&mut self, search: &SearchStats) {
         self.node_accesses = search.nodes_visited;
         self.leaf_hits = search.entries_checked;
-        self.olc_attempts = search.olc_attempts;
-        self.olc_retries = search.olc_retries;
-        self.olc_pessimistic_fallbacks = search.olc_fallbacks;
-        self.olc_retry_depth = search.olc_retry_depth;
     }
 
     /// Absorbs a drained [`CloudStats`] block into the cloud fields —
@@ -299,9 +275,9 @@ impl<'c> PrqExecutor<'c> {
     }
 
     /// Executes the query against a Phase-1 index of exact target
-    /// objects — the single-writer [`RTree`](gprq_rtree::RTree) or the
-    /// lock-free-read [`ConcurrentRTree`](gprq_rtree::ConcurrentRTree)
-    /// (any [`Phase1Index`]).
+    /// objects — the mutable [`RTree`](gprq_rtree::RTree) or a
+    /// published [`FlatRTree`](gprq_rtree::FlatRTree) image (any
+    /// [`Phase1Index`]).
     ///
     /// # Errors
     ///
@@ -482,11 +458,14 @@ impl<'c> PrqExecutor<'c> {
 ///
 /// Samples reach the count by one of two routes: per object through
 /// [`EvalReport::samples`](crate::evaluator::EvalReport) (sequential
-/// evaluators; these are what the total cap meters), or per query
-/// through the evaluator's cloud statistics (the shared cloud). Objects
-/// that report none split the cloud's samples evenly, in one histogram
-/// write per query, so the fixed-budget path stays uninstrumented per
-/// object.
+/// evaluators), or per query through the evaluator's cloud statistics
+/// (the shared cloud). Objects that report none split the cloud's
+/// samples evenly, in one histogram write per query, so the
+/// fixed-budget path stays uninstrumented per object. The total cap
+/// meters both: reported samples after each object, and a fixed-budget
+/// evaluator's [`fixed_samples`](ProbabilityEvaluator::fixed_samples)
+/// before it, so an object whose estimate would overrun the cap is
+/// reported [`UncertainCause::NotEvaluated`] instead.
 pub(crate) fn phase3<'t, const D: usize, T, E>(
     query: &PrqQuery<D>,
     work: &[(&'t Vector<D>, &'t T)],
@@ -501,9 +480,12 @@ pub(crate) fn phase3<'t, const D: usize, T, E>(
     let span = metrics.map(|m| m.phase_span(Phase::Integrate));
     let t = Instant::now();
     evaluator.begin_query(query.gaussian());
+    let fixed = evaluator.fixed_samples();
     let (evaluated, skipped) = work.split_at(work.len().min(budget.max_candidates));
-    // Samples reported per object, and the objects that reported none.
+    // Samples reported per object, fixed-budget samples charged to the
+    // total, and the objects that reported none.
     let mut reported = 0usize;
+    let mut charged = 0usize;
     let mut unreported = 0usize;
     let mut faulted = 0usize;
     let mut starved = 0usize;
@@ -517,10 +499,11 @@ pub(crate) fn phase3<'t, const D: usize, T, E>(
         // Per-object grant, capped by what is left of the total. An
         // evaluator may report more than it was granted, so the
         // subtraction saturates.
+        let left = budget
+            .max_total_samples
+            .saturating_sub(reported.saturating_add(charged));
         #[cfg_attr(not(feature = "fault-inject"), allow(unused_mut))]
-        let mut grant = budget
-            .max_samples_per_object
-            .min(budget.max_total_samples.saturating_sub(reported));
+        let mut grant = budget.max_samples_per_object.min(left);
         #[cfg(feature = "fault-inject")]
         let injected = {
             if safeguards.trips(FaultSite::SampleStarvation) {
@@ -532,11 +515,14 @@ pub(crate) fn phase3<'t, const D: usize, T, E>(
         let injected = false;
         let result = if injected {
             Err(EvalFailure::Injected)
+        } else if fixed.is_some_and(|f| f > left) {
+            Err(EvalFailure::NoBudget)
         } else {
             evaluator.evaluate(query.gaussian(), point, query.delta(), query.theta(), grant)
         };
         match result {
             Ok(rep) => {
+                charged = charged.saturating_add(fixed.unwrap_or(0));
                 out.stats.integrations += 1;
                 reported = reported.saturating_add(rep.samples);
                 if rep.samples == 0 {

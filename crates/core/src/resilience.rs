@@ -1225,6 +1225,45 @@ mod tests {
     }
 
     #[test]
+    fn total_sample_cap_binds_a_fixed_budget_cloud_evaluator() {
+        let tree = random_tree(3_000, 19);
+        let mut res =
+            ResilientExecutor::new(PrqExecutor::new(StrategySet::RR)).with_budget(EvalBudget {
+                max_total_samples: 1_000,
+                ..EvalBudget::paper_default()
+            });
+        let outcome = res
+            .execute(
+                &tree,
+                Vector::from([500.0, 500.0]),
+                sigma_paper(),
+                25.0,
+                0.01,
+                &mut MonteCarloEvaluator::new(20_000, 3),
+            )
+            .unwrap();
+        // Every estimate rests on the whole 20 000-sample cloud, so no
+        // object fits under the cap: nothing is spent, every survivor
+        // is listed as not evaluated, and the report says why.
+        assert!(outcome.stats.phase3_samples <= 1_000, "{:?}", outcome.stats);
+        assert_eq!(outcome.stats.integrations, 0);
+        let starved = outcome
+            .uncertain
+            .iter()
+            .filter(|u| u.cause == UncertainCause::NotEvaluated)
+            .count();
+        assert!(starved > 0, "{:?}", outcome.stats);
+        assert_eq!(starved, outcome.uncertain.len());
+        assert!(outcome.report.iter().any(|r| matches!(
+            r,
+            DegradationReason::BudgetExhausted {
+                scope: BudgetScope::TotalSamples,
+                unresolved,
+            } if *unresolved == starved
+        )));
+    }
+
+    #[test]
     fn unlimited_budget_matches_plain_executor_with_monte_carlo() {
         let tree = random_tree(3_000, 23);
         let (center, delta, theta) = (Vector::from([480.0, 515.0]), 25.0, 0.05);

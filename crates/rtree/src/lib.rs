@@ -16,8 +16,8 @@
 //!   node-access statistics ([`SearchStats`]);
 //! * a full structural [`RTree::validate`] used by the property tests;
 //! * a cache-conscious read-optimized flat image ([`FlatRTree`]) with
-//!   SoA node blocks, branch-free AABB scans, and packed multi-rect
-//!   probes for the Phase-1 hot path.
+//!   SoA node blocks and branch-free AABB scans for the Phase-1 hot
+//!   path.
 //!
 //! ```
 //! use gprq_rtree::{RTree, RStarParams};
@@ -31,26 +31,66 @@
 //! let near_origin = tree.query_ball(&Vector::from([0.0, 0.0]), 5.0);
 //! assert!(!near_origin.is_empty());
 //! ```
+//!
+//! ## Concurrent reads: published snapshots
+//!
+//! [`RTree`] is single-writer. To serve Phase 1 to many threads while
+//! the data changes, one writer owns a private `RTree` and, at each
+//! epoch boundary, publishes an immutable [`FlatRTree`] image behind an
+//! `Arc`. Readers clone the `Arc` once per query (or per batch) and
+//! search the image with no further synchronization; a write becomes
+//! visible at the next publish, so a reader lags the writer by at most
+//! one epoch. Candidates borrow from the image, so a reader that reuses
+//! one result buffer across queries must hold the same `Arc` for the
+//! whole batch.
+//!
+//! ```
+//! use std::sync::{Arc, RwLock};
+//! use gprq_linalg::Vector;
+//! use gprq_rtree::{FlatRTree, Phase1Index, RStarParams, RTree, Rect, SearchStats};
+//!
+//! let mut tree: RTree<2, u32> = RTree::with_params(RStarParams::paper_default(2));
+//! let published = RwLock::new(Arc::new(FlatRTree::freeze(tree.clone())));
+//! let window = Rect::centered(&Vector::from([5.0, 5.0]), &Vector::from([5.0, 5.0]));
+//!
+//! std::thread::scope(|s| {
+//!     s.spawn(|| {
+//!         for i in 0..64u32 {
+//!             tree.insert(Vector::from([f64::from(i % 8), f64::from(i / 8)]), i);
+//!             if (i + 1) % 16 == 0 {
+//!                 // Epoch boundary: publish a fresh image.
+//!                 let image = Arc::new(FlatRTree::freeze(tree.clone()));
+//!                 *published.write().expect("no publisher panicked") = image;
+//!             }
+//!         }
+//!     });
+//!     s.spawn(|| {
+//!         for _ in 0..100 {
+//!             let image = Arc::clone(&published.read().expect("no publisher panicked"));
+//!             let (mut stats, mut hits) = (SearchStats::default(), Vec::new());
+//!             image.search_rect_into(&window, &mut stats, &mut hits);
+//!             assert!(hits.len() <= image.len());
+//!         }
+//!     });
+//! });
+//! assert_eq!(published.read().expect("no publisher panicked").len(), 64);
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod bulk;
-pub mod concurrent;
 pub mod flat;
 pub mod node;
-pub mod olc;
 pub mod params;
 pub mod query;
 pub mod rect;
 mod split;
 pub mod tree;
 
-pub use concurrent::{ConcQueryScratch, ConcurrentRTree, ContentionLadder, MAX_FANOUT};
 pub use flat::{FlatRTree, PACKED_FANOUT};
 pub use node::LeafEntry;
-pub use olc::{ReadOutcome, VersionCell};
 pub use params::RStarParams;
-pub use query::{KnnScratch, Phase1Index, SearchStats, OLC_DEPTH_BUCKETS};
+pub use query::{KnnScratch, Phase1Index, SearchStats};
 pub use rect::Rect;
 pub use tree::{RTree, TreeStats};

@@ -21,12 +21,6 @@ use gprq_linalg::Vector;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Number of log₂ buckets in [`SearchStats::olc_retry_depth`]: bucket 0
-/// counts first-try validations, bucket `b ≥ 1` counts node reads that
-/// needed `r` retries with `2^(b-1) ≤ r < 2^b` (the last bucket absorbs
-/// the tail).
-pub const OLC_DEPTH_BUCKETS: usize = 8;
-
 /// Counters accumulated during a search.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
@@ -36,18 +30,6 @@ pub struct SearchStats {
     pub entries_checked: usize,
     /// Records reported to the visitor.
     pub results: usize,
-    /// Optimistic (seqlock-validated) node read attempts. Zero for the
-    /// single-writer [`RTree`]; populated by the concurrent tree.
-    pub olc_attempts: usize,
-    /// Optimistic attempts that failed validation (torn by a writer or
-    /// found write-locked) and were retried after backoff.
-    pub olc_retries: usize,
-    /// Queries that exhausted the optimistic ladder and escalated to
-    /// the pessimistic shared-latch path.
-    pub olc_fallbacks: usize,
-    /// Log₂ histogram of per-node retry depth (see
-    /// [`OLC_DEPTH_BUCKETS`]): how contended individual node reads were.
-    pub olc_retry_depth: [usize; OLC_DEPTH_BUCKETS],
 }
 
 impl SearchStats {
@@ -57,39 +39,15 @@ impl SearchStats {
         self.nodes_visited = self.nodes_visited.saturating_add(other.nodes_visited);
         self.entries_checked = self.entries_checked.saturating_add(other.entries_checked);
         self.results = self.results.saturating_add(other.results);
-        self.olc_attempts = self.olc_attempts.saturating_add(other.olc_attempts);
-        self.olc_retries = self.olc_retries.saturating_add(other.olc_retries);
-        self.olc_fallbacks = self.olc_fallbacks.saturating_add(other.olc_fallbacks);
-        for (dst, src) in self
-            .olc_retry_depth
-            .iter_mut()
-            .zip(other.olc_retry_depth.iter())
-        {
-            *dst = dst.saturating_add(*src);
-        }
-    }
-
-    /// Records one successfully validated node read that consumed
-    /// `retries` failed attempts first, into the log₂ depth histogram.
-    pub fn record_olc_depth(&mut self, retries: usize) {
-        let bucket = if retries == 0 {
-            0
-        } else {
-            usize::try_from(usize::BITS - retries.leading_zeros())
-                .unwrap_or(OLC_DEPTH_BUCKETS)
-                .min(OLC_DEPTH_BUCKETS - 1)
-        };
-        if let Some(slot) = self.olc_retry_depth.get_mut(bucket) {
-            *slot = slot.saturating_add(1);
-        }
     }
 }
 
 /// A Phase-1 rectangle index: anything the PRQ executors can run their
-/// candidate search against. Implemented by the single-writer [`RTree`]
-/// and by the concurrent OLC tree
-/// ([`ConcurrentRTree`](crate::ConcurrentRTree)), so the same executor
-/// code serves both the batch and the shared-service deployment shapes.
+/// candidate search against. Implemented by the mutable [`RTree`] and
+/// by its read-optimized image [`FlatRTree`](crate::FlatRTree). A
+/// `FlatRTree` is immutable and `Sync`, so concurrent readers share a
+/// published image (`Arc<FlatRTree>`) while a writer builds the next
+/// one; see the crate docs.
 pub trait Phase1Index<const D: usize, T> {
     /// Clears `out`, then appends every record whose point lies in
     /// `rect` (boundary inclusive), accumulating statistics.
@@ -109,8 +67,9 @@ pub trait Phase1Index<const D: usize, T> {
     /// implementations to this).
     ///
     /// The default implementation probes one rectangle at a time, which
-    /// is always correct; indexes that can share a descent across
-    /// rectangles (the single-writer [`RTree`]) override it.
+    /// is always correct. Both in-tree indexes keep it: shared
+    /// multi-rectangle descents measured slower than solo descents on
+    /// the packed layout, and Phase 1 is well under 1 % of query time.
     fn search_rects_into<'t>(
         &'t self,
         rects: &[Rect<D>],
@@ -132,15 +91,6 @@ impl<const D: usize, T> Phase1Index<D, T> for RTree<D, T> {
         out: &mut Vec<(&'t Vector<D>, &'t T)>,
     ) {
         self.query_rect_into(rect, stats, out);
-    }
-
-    fn search_rects_into<'t>(
-        &'t self,
-        rects: &[Rect<D>],
-        stats: &mut [SearchStats],
-        out: &mut [Vec<(&'t Vector<D>, &'t T)>],
-    ) {
-        self.query_rects_into(rects, stats, out);
     }
 }
 
@@ -214,36 +164,6 @@ impl<const D: usize, T> RTree<D, T> {
             return;
         }
         rect_rec(&self.root, rect, stats, &mut |p, d| out.push((p, d)));
-    }
-
-    /// Multi-rectangle variant of [`RTree::query_rect_into`]: a single
-    /// tree descent serves all `rects` at once, carrying the subset of
-    /// queries still active at each node. Answers `rects[q]` into
-    /// `out[q]` with statistics in `stats[q]`, for every `q` up to the
-    /// shortest of the three slices (each `out[q]` is cleared first,
-    /// including any beyond that length).
-    ///
-    /// Per query, the candidate list, its order, and every counter in
-    /// `stats[q]` are identical to a solo [`RTree::query_rect_into`]
-    /// call: query `q` participates at a node exactly when that node
-    /// intersects `rects[q]` (the root unconditionally, matching the
-    /// solo entry point), and the depth-first child order is shared, so
-    /// `q` sees the same nodes, entries, and results in the same order.
-    pub fn query_rects_into<'t>(
-        &'t self,
-        rects: &[Rect<D>],
-        stats: &mut [SearchStats],
-        out: &mut [Vec<(&'t Vector<D>, &'t T)>],
-    ) {
-        for buf in out.iter_mut() {
-            buf.clear();
-        }
-        let n = rects.len().min(stats.len()).min(out.len());
-        if n == 0 || self.is_empty() {
-            return;
-        }
-        let active: Vec<usize> = (0..n).collect();
-        multi_rect_rec(&self.root, rects, &active, stats, out);
     }
 
     /// Visits every record within Euclidean distance `radius` of `center`.
@@ -446,49 +366,6 @@ fn rect_rec<'a, const D: usize, T>(
         for c in &node.children {
             if rect.intersects(&c.mbr) {
                 rect_rec(c, rect, stats, visit);
-            }
-        }
-    }
-}
-
-// Multi-rectangle descent: one DFS carries the indices of the queries still
-// active at this node. A query is active at the root unconditionally and at a
-// deeper node iff its rectangle intersects that node's MBR — exactly the
-// visitation predicate of the solo `rect_rec`, so per-query output and stats
-// are bitwise reproductions of N solo descents. Allocates the per-node active
-// subset, so it is deliberately not a HOT-PATH root; the batch layer trades a
-// small allocation per internal node for visiting shared upper levels once.
-fn multi_rect_rec<'a, const D: usize, T>(
-    node: &'a Node<D, T>,
-    rects: &[Rect<D>],
-    active: &[usize],
-    stats: &mut [SearchStats],
-    out: &mut [Vec<(&'a Vector<D>, &'a T)>],
-) {
-    for &q in active {
-        stats[q].nodes_visited += 1;
-    }
-    if node.is_leaf() {
-        for e in &node.entries {
-            for &q in active {
-                stats[q].entries_checked += 1;
-                if rects[q].contains_point(&e.point) {
-                    stats[q].results += 1;
-                    out[q].push((&e.point, &e.data));
-                }
-            }
-        }
-    } else {
-        let mut child_active: Vec<usize> = Vec::with_capacity(active.len());
-        for c in &node.children {
-            child_active.clear();
-            for &q in active {
-                if rects[q].intersects(&c.mbr) {
-                    child_active.push(q);
-                }
-            }
-            if !child_active.is_empty() {
-                multi_rect_rec(c, rects, &child_active, stats, out);
             }
         }
     }

@@ -1,11 +1,11 @@
 //! Property tests for the flat index: across random workloads (including
 //! empty trees) and degenerate rectangles (zero-width, inverted, huge),
 //! the flat image must return identical candidate sets — and, where the
-//! topology is shared, identical `SearchStats` tallies — to both the
-//! sequential `RTree` and the `ConcurrentRTree`.
+//! topology is shared, identical `SearchStats` tallies — to the
+//! pointer `RTree`.
 
 use gprq_linalg::Vector;
-use gprq_rtree::{ConcurrentRTree, FlatRTree, Phase1Index, RStarParams, RTree, Rect, SearchStats};
+use gprq_rtree::{FlatRTree, Phase1Index, RStarParams, RTree, Rect, SearchStats};
 use proptest::prelude::*;
 
 /// One drawn rectangle before shaping: center, half-extents, selector.
@@ -78,7 +78,7 @@ proptest! {
 
     /// A frozen image shares the source topology: candidates (order
     /// included) and every stats counter must match the pointer tree
-    /// bitwise, for both solo and packed entry points.
+    /// bitwise.
     #[test]
     fn prop_frozen_matches_rtree_bitwise(
         points in arb_points(),
@@ -110,23 +110,13 @@ proptest! {
             prop_assert_eq!(&flat_out, &tree_out);
             prop_assert_eq!(flat_stats, tree_stats);
         }
-
-        // Packed multi-rect descent: same contract per query.
-        let mut stats = vec![SearchStats::default(); rects.len()];
-        let mut out: Vec<Vec<(&Vector<2>, &usize)>> = vec![Vec::new(); rects.len()];
-        flat.query_rects_into(&rects, &mut stats, &mut out);
-        for (q, rect) in rects.iter().enumerate() {
-            let (tree_out, tree_stats) = search(&tree, rect);
-            prop_assert_eq!(&out[q], &tree_out);
-            prop_assert_eq!(stats[q], tree_stats);
-        }
     }
 
     /// The packed (fanout-64) layout reshapes the tree, so node counters
     /// differ — but the candidate sets and the result tallies must be
-    /// identical to both existing backends on every workload.
+    /// identical to the pointer tree's on every workload.
     #[test]
-    fn prop_packed_layout_matches_both_backends(
+    fn prop_packed_layout_matches_pointer_tree(
         points in arb_points(),
         raw_rects in arb_raw_rects(),
     ) {
@@ -137,21 +127,14 @@ proptest! {
             .map(|(i, &(x, y))| (Vector::from([x, y]), i))
             .collect();
         let tree = RTree::bulk_load(records.clone(), RStarParams::paper_default(2));
-        let conc: ConcurrentRTree<2, usize> = ConcurrentRTree::new();
-        for (p, id) in &records {
-            conc.insert(*p, *id);
-        }
         let flat = FlatRTree::bulk_load(records);
         prop_assert_eq!(flat.len(), tree.len());
 
         for rect in &rects {
             let (tree_out, tree_stats) = search(&tree, rect);
-            let (conc_out, conc_stats) = search(&conc, rect);
             let (flat_out, flat_stats) = search(&flat, rect);
             prop_assert_eq!(key_set(&flat_out), key_set(&tree_out));
-            prop_assert_eq!(key_set(&flat_out), key_set(&conc_out));
             prop_assert_eq!(flat_stats.results, tree_stats.results);
-            prop_assert_eq!(flat_stats.results, conc_stats.results);
         }
     }
 }
